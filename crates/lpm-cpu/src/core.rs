@@ -80,10 +80,12 @@ impl CoreConfig {
 /// Execution state of a ROB entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
-    /// Not yet issued (waiting for dependences or an issue slot).
+    /// Not yet issued (waiting for dependences or an issue slot); its
+    /// seq sits in `Core::issue_queue`.
     Waiting,
-    /// Compute op executing; done at the stored cycle.
-    Executing(u64),
+    /// Compute op executing; its completion cycle sits in
+    /// `Core::executing`.
+    Executing,
     /// Memory op in flight; completion arrives via `complete_mem`.
     WaitingMem,
     /// Finished; may retire when it reaches the ROB head.
@@ -198,13 +200,11 @@ pub struct Core {
     /// in flight). Updated at issue, recomputed when completions drain —
     /// turns the per-cycle "anything due?" checks into one comparison.
     exec_min_done: u64,
-    /// ROB entries currently in `State::Waiting` (incremental count;
-    /// bounds the issue scan and replaces the per-cycle recount).
-    waiting: u32,
-    /// Cursor: no ROB entry with a sequence number below this is
-    /// `Waiting`, so issue scans start here instead of at the head. A
-    /// lower bound, maintained at issue and dispatch.
-    first_waiting_seq: u64,
+    /// Seqs of the `State::Waiting` ROB entries, in ROB order: the issue
+    /// window's occupants. Dispatch appends, issue removes; issue and
+    /// [`Core::can_act`] walk only this queue, never the issued entries
+    /// between its members in the ROB.
+    issue_queue: Vec<u64>,
     /// Memoized idle verdict: `true` means the *state-based* clauses of
     /// [`Core::can_act`] (retirable head, issuable Waiting entry,
     /// dispatch room) were checked and found false, and no state has
@@ -245,8 +245,7 @@ impl Core {
             compute_done_this_cycle: false,
             executing: Vec::new(),
             exec_min_done: u64::MAX,
-            waiting: 0,
-            first_waiting_seq: 0,
+            issue_queue: Vec::with_capacity(cfg.iw_size as usize),
             idle_memo: std::cell::Cell::new(false),
         }
     }
@@ -342,22 +341,52 @@ impl Core {
                 }
             }
         }
+        self.debug_check_issue_queue();
     }
 
-    /// Whether a dependence on `dep_seq` is satisfied, given the current
-    /// ROB head sequence number (the issue scan re-checks dependences
-    /// for up to `iw_size` entries per cycle; taking the head as an
-    /// argument hoists its lookup out of that loop).
+    /// Debug-build invariant: the issue queue holds exactly the seqs of
+    /// the `Waiting` ROB entries, in ROB order.
+    fn debug_check_issue_queue(&self) {
+        debug_assert!(
+            self.rob
+                .iter()
+                .filter(|e| e.state == State::Waiting)
+                .map(|e| e.seq)
+                .eq(self.issue_queue.iter().copied()),
+            "issue queue {:?} out of step with the ROB's Waiting entries",
+            self.issue_queue
+        );
+    }
+
+    /// Whether the queued `Waiting` entry `seq` takes an issue slot this
+    /// cycle, given the ROB head's seq: its producer has retired (below
+    /// the head) or is `Done` and, for a store, the store buffer has
+    /// room. Returns its ROB index and op. Issue and [`Core::can_act`]
+    /// both decide through this one helper, over the same window, so
+    /// they cannot drift apart.
     #[inline]
-    fn dep_ready_at(&self, dep_seq: u64, head_seq: u64) -> bool {
-        if dep_seq < head_seq {
-            return true; // retired
-        }
-        let idx = (dep_seq - head_seq) as usize;
-        match self.rob.get(idx) {
-            Some(e) => e.state == State::Done,
-            None => true,
-        }
+    fn issuable(&self, seq: u64, head_seq: u64) -> Option<(usize, Op)> {
+        let idx = (seq - head_seq) as usize;
+        let e = &self.rob[idx];
+        let dep_ready = e.dep_seq.is_none_or(|d| {
+            d < head_seq
+                || self
+                    .rob
+                    .get((d - head_seq) as usize)
+                    .is_none_or(|p| p.state == State::Done)
+        });
+        // A store facing a full store buffer stalls without using a slot.
+        let store_blocked = matches!(e.op, Op::Store(_))
+            && self.posted_stores.len() >= self.cfg.store_buffer as usize;
+        (dep_ready && !store_blocked).then_some((idx, e.op))
+    }
+
+    /// The issue window: the first `iw_size` entries of the issue queue.
+    /// A window shrunk by [`Core::reconfigure`] below the queue length
+    /// leaves the later entries waiting outside it.
+    #[inline]
+    fn window_len(&self) -> usize {
+        self.issue_queue.len().min(self.cfg.iw_size as usize)
     }
 
     /// Whether [`Core::cycle`] at `now` could do anything beyond the
@@ -367,11 +396,12 @@ impl Core {
     /// provably inert and may be coalesced into a span whose stats are
     /// applied by [`Core::skip_idle_span`].
     ///
-    /// The one deliberate exclusion mirrors the issue loop: a ready
-    /// store blocked on a full store buffer is skipped there without
-    /// touching any persistent state, so it does not make a cycle
-    /// actionable (and the buffer cannot drain without an external
-    /// completion, which ends the span at the CMP level anyway).
+    /// The one deliberate exclusion matches the issue stage, which
+    /// decides through the same [`Core::issuable`] helper: a ready store
+    /// blocked on a full store buffer is skipped there without touching
+    /// any persistent state, so it does not make a cycle actionable (and
+    /// the buffer cannot drain without an external completion, which
+    /// ends the span at the CMP level anyway).
     pub fn can_act(&self, now: u64) -> bool {
         // Step 1/2: an executing op completing, or a retirable head.
         if self.exec_min_done <= now {
@@ -385,41 +415,18 @@ impl Core {
         if matches!(self.rob.front(), Some(e) if e.state == State::Done) {
             return true;
         }
-        // Step 3: mirror the issue scan. Any ready Waiting entry that
-        // would issue a compute or attempt the port acts this cycle.
-        // Starts at the first-Waiting cursor and stops once every
-        // Waiting entry has been considered — the entries skipped either
-        // way are non-Waiting, so the considered set is identical to a
-        // full head-to-tail scan.
-        if self.waiting > 0 {
-            let head_seq = self.rob.front().map_or(0, |e| e.seq);
-            let mut idx = self.first_waiting_seq.saturating_sub(head_seq) as usize;
-            let mut considered = 0u32;
-            let mut remaining = self.waiting;
-            while idx < self.rob.len() && considered < self.cfg.iw_size && remaining > 0 {
-                let e = &self.rob[idx];
-                idx += 1;
-                if e.state != State::Waiting {
-                    continue;
-                }
-                remaining -= 1;
-                considered += 1;
-                if !e.dep_seq.is_none_or(|d| self.dep_ready_at(d, head_seq)) {
-                    continue;
-                }
-                match e.op {
-                    Op::Compute | Op::Load(_) => return true,
-                    Op::Store(_) => {
-                        if self.posted_stores.len() < self.cfg.store_buffer as usize {
-                            return true;
-                        }
-                    }
-                }
-            }
+        // Step 3: any entry in the issue window that would issue a
+        // compute or attempt the port acts this cycle.
+        let head_seq = self.rob.front().map_or(0, |e| e.seq);
+        if self.issue_queue[..self.window_len()]
+            .iter()
+            .any(|&seq| self.issuable(seq, head_seq).is_some())
+        {
+            return true;
         }
         // Step 4: dispatch possible.
         let dispatchable = self.rob.len() < self.cfg.rob_size as usize
-            && self.cfg.iw_size.saturating_sub(self.waiting) > 0
+            && self.issue_queue.len() < self.cfg.iw_size as usize
             && self.next_dispatch < self.total_instructions;
         if !dispatchable {
             // Every state-based clause is false: cache the verdict so
@@ -519,92 +526,61 @@ impl Core {
             retired_this_cycle += 1;
         }
 
-        // 3. Issue: scan the first `iw_size` un-issued entries in ROB
-        // order; issue up to `issue_width` whose dependences are ready.
-        // The scan starts at the first-Waiting cursor and stops once
-        // every Waiting entry has been seen — identical decisions to a
-        // head-to-tail scan, without walking the issued prefix.
-        let mut issued = 0u32;
-        let mut considered = 0u32;
+        // 3. Issue: walk the issue window (the first `iw_size` Waiting
+        // entries, in ROB order) and issue up to `issue_width` whose
+        // dependences are ready. Entries that stay Waiting are compacted
+        // to the front of the examined prefix; issued ones leave it.
         let head_seq = self.rob.front().map_or(0, |e| e.seq);
-        let mut idx = self.first_waiting_seq.saturating_sub(head_seq) as usize;
-        let mut remaining = self.waiting;
-        let mut still_waiting: Option<u64> = None;
-        while idx < self.rob.len()
-            && issued < self.cfg.issue_width
-            && considered < self.cfg.iw_size
-            && remaining > 0
-        {
-            let (seq, op, dep_seq, state) = {
-                let e = &self.rob[idx];
-                (e.seq, e.op, e.dep_seq, e.state)
+        let window = self.window_len();
+        let mut issued = 0u32;
+        let mut examined = 0usize;
+        let mut kept = 0usize;
+        while examined < window && issued < self.cfg.issue_width {
+            let seq = self.issue_queue[examined];
+            examined += 1;
+            let Some((idx, op)) = self.issuable(seq, head_seq) else {
+                self.issue_queue[kept] = seq;
+                kept += 1;
+                continue;
             };
-            if state == State::Waiting {
-                remaining -= 1;
-                considered += 1;
-                let ready = dep_seq.is_none_or(|d| self.dep_ready_at(d, head_seq));
-                if ready {
-                    match op {
-                        Op::Compute => {
-                            self.rob[idx].state = State::Executing(now + self.cfg.compute_latency);
-                            self.executing.push((now + self.cfg.compute_latency, seq));
-                            self.exec_min_done =
-                                self.exec_min_done.min(now + self.cfg.compute_latency);
-                            self.waiting -= 1;
-                            issued += 1;
-                        }
-                        Op::Load(addr) | Op::Store(addr) => {
-                            let is_store = matches!(op, Op::Store(_));
-                            if is_store
-                                && self.posted_stores.len() >= self.cfg.store_buffer as usize
-                            {
-                                // Store buffer full: structural stall, the
-                                // store waits without consuming the slot.
-                                if still_waiting.is_none() {
-                                    still_waiting = Some(seq);
-                                }
-                                idx += 1;
-                                continue;
-                            }
-                            if mem.try_access(now, seq, addr, is_store) {
-                                // Stores are posted: they drain through a
-                                // write buffer and never block retirement.
-                                // Loads wait for their data.
-                                self.rob[idx].state = if is_store {
-                                    self.posted_stores.push(seq);
-                                    State::Done
-                                } else {
-                                    State::WaitingMem
-                                };
-                                self.waiting -= 1;
-                                self.outstanding_mem += 1;
-                                self.stats.mem_issued += 1;
-                            } else {
-                                self.stats.mem_rejects += 1;
-                                if still_waiting.is_none() {
-                                    still_waiting = Some(seq);
-                                }
-                            }
-                            // Accepted or not, the attempt used a slot.
-                            issued += 1;
-                        }
-                    }
-                } else if still_waiting.is_none() {
-                    still_waiting = Some(seq);
+            // Accepted or not, the attempt uses a slot.
+            issued += 1;
+            self.rob[idx].state = match op {
+                Op::Compute => {
+                    let done_at = now + self.cfg.compute_latency;
+                    self.executing.push((done_at, seq));
+                    self.exec_min_done = self.exec_min_done.min(done_at);
+                    State::Executing
                 }
-            }
-            idx += 1;
+                Op::Load(addr) | Op::Store(addr) => {
+                    let is_store = matches!(op, Op::Store(_));
+                    if !mem.try_access(now, seq, addr, is_store) {
+                        self.stats.mem_rejects += 1;
+                        self.issue_queue[kept] = seq;
+                        kept += 1;
+                        continue;
+                    }
+                    self.outstanding_mem += 1;
+                    self.stats.mem_issued += 1;
+                    // Stores are posted: they drain through a write
+                    // buffer and never block retirement. Loads wait for
+                    // their data.
+                    if is_store {
+                        self.posted_stores.push(seq);
+                        State::Done
+                    } else {
+                        State::WaitingMem
+                    }
+                }
+            };
         }
-        // Entries before `idx` that stayed Waiting are tracked in
-        // `still_waiting`; anything at or past `idx` was not examined.
-        self.first_waiting_seq = still_waiting.unwrap_or(head_seq + idx as u64);
+        self.issue_queue.drain(kept..examined);
 
-        // 4. Dispatch from the trace.
+        // 4. Dispatch from the trace into the ROB and the issue queue.
         let mut dispatched = 0u32;
-        let mut iw_free = self.cfg.iw_size.saturating_sub(self.waiting);
         while dispatched < self.cfg.issue_width
             && self.rob.len() < self.cfg.rob_size as usize
-            && iw_free > 0
+            && self.issue_queue.len() < self.cfg.iw_size as usize
             && self.next_dispatch < self.total_instructions
         {
             let i = self.trace.instrs()[self.trace_cursor];
@@ -624,14 +600,9 @@ impl Core {
                 dep_seq,
                 state: State::Waiting,
             });
-            if self.waiting == 0 {
-                // First Waiting entry again: the cursor is exact.
-                self.first_waiting_seq = seq;
-            }
-            self.waiting += 1;
+            self.issue_queue.push(seq);
             self.next_dispatch += 1;
             dispatched += 1;
-            iw_free -= 1;
         }
 
         // The events above are exactly what can invalidate a cached
@@ -654,6 +625,7 @@ impl Core {
                 self.stats.overlap_cycles += 1;
             }
         }
+        self.debug_check_issue_queue();
     }
 }
 
@@ -893,6 +865,87 @@ mod tests {
         assert!(core.finished());
         assert_eq!(core.stats().mem_rejects, 3);
         assert_eq!(core.stats().mem_issued, 1);
+    }
+
+    /// Shrinking the issue window below its occupancy: only the first
+    /// `iw_size` Waiting entries attempt the port, and dispatch pauses
+    /// until fewer than `iw_size` entries are Waiting.
+    #[test]
+    fn window_shrunk_below_occupancy_limits_issue_and_pauses_dispatch() {
+        /// Records every attempt; rejects them all while closed.
+        struct Gate {
+            open: bool,
+            attempts: Vec<(u64, u64)>,
+            inner: PerfectMemory,
+        }
+        impl MemoryPort for Gate {
+            fn try_access(&mut self, now: u64, id: u64, addr: u64, is_store: bool) -> bool {
+                self.attempts.push((now, id));
+                self.open && self.inner.try_access(now, id, addr, is_store)
+            }
+        }
+        let trace: Trace = (0..40u64).map(|i| Instr::load(i * 64)).collect();
+        let cfg = CoreConfig {
+            issue_width: 4,
+            iw_size: 16,
+            rob_size: 32,
+            compute_latency: 1,
+            store_buffer: 32,
+        };
+        let mut core = Core::new(cfg, trace);
+        // Completions are never delivered, so issued loads stay in the ROB.
+        let mut mem = Gate {
+            open: false,
+            attempts: Vec::new(),
+            inner: PerfectMemory::new(100),
+        };
+        // Runs `cycles`, returning the ROB occupancy after each.
+        let step = |core: &mut Core, mem: &mut Gate, cycles: std::ops::Range<u64>| {
+            mem.attempts.clear();
+            cycles
+                .map(|now| {
+                    core.cycle(now, mem);
+                    core.rob_occupancy()
+                })
+                .collect::<Vec<_>>()
+        };
+        // Behind a closed port the window fills with 16 Waiting loads.
+        assert_eq!(step(&mut core, &mut mem, 0..5), [4, 8, 12, 16, 16]);
+
+        // Shrunk to 2 with 16 Waiting: only seqs 0 and 1 try the port,
+        // although the width allows 4, and nothing dispatches.
+        core.reconfigure(CoreConfig { iw_size: 2, ..cfg });
+        assert_eq!(step(&mut core, &mut mem, 5..8), [16, 16, 16]);
+        assert_eq!(
+            mem.attempts,
+            [(5, 0), (5, 1), (6, 0), (6, 1), (7, 0), (7, 1)]
+        );
+        assert_eq!(core.stats().mem_rejects, 22);
+
+        // Port open: the window drains two per cycle in ROB order, and
+        // dispatch resumes only once the last old entry has issued.
+        mem.open = true;
+        assert_eq!(
+            step(&mut core, &mut mem, 8..19),
+            [16, 16, 16, 16, 16, 16, 16, 18, 20, 22, 24]
+        );
+        let expected: Vec<(u64, u64)> = (8..19)
+            .flat_map(|t| [(t, 2 * (t - 8)), (t, 2 * (t - 8) + 1)])
+            .collect();
+        assert_eq!(mem.attempts, expected);
+        assert_eq!(
+            *core.stats(),
+            CoreStats {
+                cycles: 19,
+                retired: 0,
+                mem_retired: 0,
+                data_stall_cycles: 11,
+                mem_busy_cycles: 11,
+                overlap_cycles: 0,
+                mem_issued: 22,
+                mem_rejects: 22,
+            }
+        );
     }
 
     /// Differential check for the event-driven fast path: a core stuck
