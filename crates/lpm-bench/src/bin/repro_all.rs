@@ -7,17 +7,15 @@
 //! ```
 
 use lpm_bench::{
-    fig67_profiles, fig8_results, interval_results, table1_rows, FULL_INSTRUCTIONS, SEED,
+    fig67_profiles, fig8_results, instructions_arg, interval_results, table1_rows,
+    FULL_INSTRUCTIONS, SEED,
 };
 use lpm_core::validation::{summarize, validate_stall_model};
 use lpm_model::example;
 use lpm_trace::SpecWorkload;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(FULL_INSTRUCTIONS / 2);
+    let n = instructions_arg("repro_all", FULL_INSTRUCTIONS / 2);
 
     println!("######## LPM reproduction summary (windows of {n} instructions) ########\n");
 

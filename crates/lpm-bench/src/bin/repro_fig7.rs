@@ -8,13 +8,10 @@
 //! * 433.milc — unaffected by L1 size;
 //! * 416.gamess — demand shrinks noticeably as L1 grows.
 
-use lpm_bench::{fig67_profiles, format_profile_table, FULL_INSTRUCTIONS, SEED};
+use lpm_bench::{fig67_profiles, format_profile_table, instructions_arg, FULL_INSTRUCTIONS, SEED};
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(FULL_INSTRUCTIONS / 2);
+    let n = instructions_arg("repro_fig7", FULL_INSTRUCTIONS / 2);
     eprintln!("profiling 16 workloads × 4 L1 sizes × {n} instructions (parallel) ...");
     let profiles = fig67_profiles(n, SEED);
     println!("== Fig. 7 (reproduced): APC2 vs private L1 size ==");

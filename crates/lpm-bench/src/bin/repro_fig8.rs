@@ -11,13 +11,10 @@
 //! ```
 //! Expected shape: NUCA-SA (fg) > NUCA-SA (cg) > Round Robin ≈ Random.
 
-use lpm_bench::{fig67_profiles, fig8_results, FULL_INSTRUCTIONS, SEED};
+use lpm_bench::{fig67_profiles, fig8_results, instructions_arg, FULL_INSTRUCTIONS, SEED};
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(FULL_INSTRUCTIONS / 2);
+    let n = instructions_arg("repro_fig8", FULL_INSTRUCTIONS / 2);
     eprintln!("profiling 16 workloads × 4 sizes × {n} instructions (parallel) ...");
     let profiles = fig67_profiles(n, SEED);
     eprintln!("running 4 × 16-core CMP schedules (parallel) ...");

@@ -13,13 +13,10 @@
 //! Expected shape: LPMR1 falls steeply with added parallelism, the knee
 //! sits at C, and E trades a little ratio for lower hardware cost than D.
 
-use lpm_bench::{format_table1, table1_rows, FULL_INSTRUCTIONS, SEED};
+use lpm_bench::{format_table1, instructions_arg, table1_rows, FULL_INSTRUCTIONS, SEED};
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(FULL_INSTRUCTIONS);
+    let n = instructions_arg("repro_table1", FULL_INSTRUCTIONS);
     eprintln!("measuring 5 configurations × {n} instructions (parallel) ...");
     let rows = table1_rows(n, SEED);
     println!("== Table I (reproduced) ==");

@@ -7,15 +7,12 @@
 //! cargo run --release -p lpm-bench --bin repro_validation [instructions]
 //! ```
 
-use lpm_bench::SEED;
+use lpm_bench::{instructions_arg, SEED};
 use lpm_core::validation::{summarize, validate_stall_model};
 use lpm_trace::SpecWorkload;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(30_000);
+    let n = instructions_arg("repro_validation", 30_000);
     eprintln!("validating Eq. 12 across 16 workloads × {n} instructions ...");
     let rows = validate_stall_model(&SpecWorkload::ALL, n, SEED);
     println!(

@@ -1,9 +1,7 @@
 //! Shared experiment harness: every table and figure of the paper has one
 //! function here that regenerates it. The `repro_*` binaries print the
-//! results; the Criterion benches time them at reduced scale; and
-//! EXPERIMENTS.md records the paper-vs-measured comparison.
-
-pub mod bench;
+//! results; EXPERIMENTS.md records the paper-vs-measured comparison; and
+//! the `benchmark/` package times the same functions end to end.
 
 use lpm_core::burst::{BurstStudy, DetectionResult};
 use lpm_core::design_space::{measure_config, HwConfig, TableIRow};
@@ -19,6 +17,34 @@ pub const FULL_INSTRUCTIONS: usize = 60_000;
 
 /// Default seed used by all repro binaries.
 pub const SEED: u64 = 7;
+
+/// Parse a repro binary's optional instruction-count argument: `None`
+/// gives `default`; anything but a positive decimal integer is an error
+/// (`0` would make every measured ratio non-positive, and `3e4` is not
+/// a count).
+fn parse_instructions(arg: Option<&str>, default: usize) -> Result<usize, String> {
+    let Some(arg) = arg else {
+        return Ok(default);
+    };
+    match arg.parse::<usize>() {
+        Ok(0) => Err("instructions must be positive, got 0".into()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!(
+            "instructions must be a positive integer, got {arg:?}"
+        )),
+    }
+}
+
+/// The first command-line argument as an instruction count (see
+/// [`parse_instructions`]). On a bad value, prints one usage line
+/// naming `bin` and exits 2.
+pub fn instructions_arg(bin: &str, default: usize) -> usize {
+    let arg = std::env::args().nth(1);
+    parse_instructions(arg.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("usage: {bin} [instructions]  (default {default}): {e}");
+        std::process::exit(2);
+    })
+}
 
 /// The base configuration for the 16-core scheduling study: shared
 /// resources scaled to 16-core proportions (an 8 MiB LLC and 4 DRAM
@@ -196,6 +222,14 @@ mod tests {
         assert_eq!(rows.len(), 5);
         let text = format_table1(&rows);
         assert!(text.contains('A') && text.contains('E'));
+    }
+
+    #[test]
+    fn instruction_argument_is_a_positive_integer() {
+        assert_eq!(parse_instructions(Some("30000"), 7), Ok(30_000));
+        assert_eq!(parse_instructions(None, 7), Ok(7));
+        assert!(parse_instructions(Some("0"), 7).is_err());
+        assert!(parse_instructions(Some("3e4"), 7).is_err());
     }
 
     #[test]

@@ -513,18 +513,6 @@ impl Cache {
         }
     }
 
-    /// Which [`Cache::can_act`] clauses hold at `now`, in check order:
-    /// `[pending_fills, deferred, outgoing_prefetch, lookup_due]`.
-    /// Diagnostic companion for understanding span coalescing.
-    pub fn busy_breakdown(&self, now: u64) -> [bool; 4] {
-        [
-            !self.pending_fills.is_empty(),
-            !self.deferred.is_empty() && !self.deferred_blocked,
-            !self.pending_outgoing_prefetch.is_empty(),
-            self.lookup_min_end <= now,
-        ]
-    }
-
     /// Whether the line containing `addr` is currently present
     /// (functional probe for tests).
     pub fn probe(&self, addr: u64) -> bool {

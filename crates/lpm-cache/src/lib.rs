@@ -18,8 +18,8 @@
 //! levels.
 //!
 //! An optional next-line/stride [`prefetch`] module implements one of the
-//! paper's "future work" optimizations and is exercised by the ablation
-//! benches.
+//! paper's "future work" optimizations; the cache's unit tests assert
+//! that each prefetcher speeds up the stream it targets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! Hardware prefetchers — next-line and stride — implementing one of the
 //! paper's listed future-work optimizations ("selective cache replacement,
-//! memory parallelism partition" family). Used by the ablation benches to
-//! show how extra supply-side concurrency moves LPMR1/LPMR2.
+//! memory parallelism partition" family): extra supply-side concurrency
+//! that moves LPMR1/LPMR2.
 
 /// Prefetcher selection for a cache configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

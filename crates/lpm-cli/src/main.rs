@@ -71,7 +71,6 @@ fn run(raw: &[String]) -> Result<u8, String> {
         "serve" => cmd_serve(&a).map(|()| 0),
         "client" => cmd_client(&a),
         "journal" => cmd_journal(&a),
-        "bench" => lpm_bench::bench::cli_run(&raw[1..]),
         other => Err(format!("unknown subcommand {other:?}")),
     }
 }
@@ -93,8 +92,6 @@ fn print_help() {
          \x20 client  ACTION [...]             talk to a daemon: submit|status|cancel|report|\n\
          \x20                                  list|events|metrics|ping|shutdown\n\
          \x20 journal ACTION FILE|DIR...       checkpoint journals: ls|verify|rm\n\
-         \x20 bench   [--tag T] [--quick]      run the perf suite, write BENCH_<tag>.json\n\
-         \x20         [--out F] [--compare F]  (--compare prints advisory deltas vs F)\n\
          \n\
          common flags:\n\
          \x20 --instructions N    measurement window (default 60000)\n\

@@ -2,7 +2,7 @@
 //! state directory, real sweeps — only the process boundary is
 //! simulated (the cross-process SIGTERM/SIGKILL soak lives in
 //! `lpm-cli`'s `cli_serve` integration test and the `repro_serve`
-//! bench binary).
+//! binary).
 
 use std::time::Duration;
 

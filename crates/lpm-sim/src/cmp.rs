@@ -358,37 +358,6 @@ impl Cmp {
         (self.skipped_spans, self.skipped_cycles)
     }
 
-    /// Union of [`lpm_cache::Cache::busy_breakdown`] across the private
-    /// L1s (diagnostic companion to [`Cmp::busy_breakdown`]).
-    pub fn l1_busy_breakdown(&self) -> [bool; 4] {
-        let mut out = [false; 4];
-        for c in &self.l1s {
-            for (o, b) in out.iter_mut().zip(c.busy_breakdown(self.now)) {
-                *o |= b;
-            }
-        }
-        out
-    }
-
-    /// Which busy conditions hold at the current cycle, in the order
-    /// [`Cmp::busy_now`] checks them: `[queues, to_dram, completions,
-    /// dram, l1s, shared, cores]`. Diagnostic companion to
-    /// [`Cmp::skipped`] for understanding why a workload's cycles do or
-    /// do not coalesce.
-    pub fn busy_breakdown(&self) -> [bool; 7] {
-        [
-            self.level_queues.iter().any(|q| !q.is_empty()),
-            !self.to_dram.is_empty(),
-            self.core_completions.iter().any(|c| !c.is_empty()),
-            self.dram.can_act(self.now),
-            self.l1s.iter().any(|c| c.can_act(self.now)),
-            self.shared.iter().any(|c| c.can_act(self.now)),
-            self.cores
-                .iter()
-                .any(|c| !c.finished() && c.can_act(self.now)),
-        ]
-    }
-
     /// Number of cores.
     pub fn num_cores(&self) -> usize {
         self.cores.len()

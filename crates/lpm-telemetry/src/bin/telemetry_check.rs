@@ -3,25 +3,22 @@
 //! Usage: `telemetry_check [--strict] <file.jsonl|file.csv>` — parses
 //! the file with the strict round-trip parsers and exits non-zero (with
 //! a diagnostic on stderr) if it is malformed. CI runs this against the
-//! artifact produced by a short `repro_online` run.
+//! artifact produced by a short `repro_online` run. Exactly one file is
+//! checked per call; a second path or an unknown flag prints the usage
+//! line and exits 2.
 //!
-//! Three JSONL shapes are accepted: a single-run log (snapshots,
+//! Four JSONL shapes are accepted: a single-run log (snapshots,
 //! events, one summary — what `repro_online` and `lpm-cli online`
 //! write), a sweep export (repeated `{"type":"point",...}` headers,
 //! each followed by that point's complete single-run log — what
-//! `lpm-cli sweep` and `repro_sweep` write), and a checkpoint journal
+//! `lpm-cli sweep` and `repro_sweep` write), a checkpoint journal
 //! (a `{"type":"checkpoint-header",...}` line followed by
 //! `checkpoint-row` records — what `lpm-cli sweep --checkpoint`
-//! writes). A sweep is validated per segment, so a malformed record is
-//! reported with its point label; a point header whose `outcome` is
-//! not `"ok"` legitimately has no telemetry segment and is accepted
-//! empty.
-//!
-//! Two further shapes ride on the same dispatch: a bench trajectory
-//! point (`{"type":"bench",...}` — what `lpm-bench`'s `bench` binary
-//! writes to `BENCH_<tag>.json`) is schema-validated, and a bare event
-//! stream (event records with no summary — what `lpm-serve` appends to
-//! `events.jsonl`) is parsed event by event.
+//! writes), and a bare event stream (event records with no summary —
+//! what `lpm-serve` appends to `events.jsonl`), parsed event by event.
+//! A sweep is validated per segment, so a malformed record is reported
+//! with its point label; a point header whose `outcome` is not `"ok"`
+//! legitimately has no telemetry segment and is accepted empty.
 //!
 //! Dropped events (the `RingRecorder` overflow counter) are always
 //! reported; with `--strict` any drop is a failure, because a CI
@@ -198,66 +195,6 @@ fn check_checkpoint_jsonl(text: &str) -> Result<Checked, String> {
     })
 }
 
-/// Schema-validate one `BENCH_<tag>.json` trajectory point. The file
-/// is a single JSON object written through the strict [`Value`] codec;
-/// the perf-trajectory contract is that `totals` carries nonzero
-/// points/sec and cycles/sec, so a broken bench cannot silently commit
-/// a zero baseline.
-fn check_bench_json(text: &str) -> Result<Checked, String> {
-    let v = Value::parse(text.trim()).map_err(|e| format!("bench json: {e}"))?;
-    if v.get("type").and_then(Value::as_str) != Some("bench") {
-        return Err("bench json: type is not \"bench\"".into());
-    }
-    if v.get("schema_version").and_then(Value::as_u64).is_none() {
-        return Err("bench json: missing schema_version".into());
-    }
-    let tag = v
-        .get("tag")
-        .and_then(Value::as_str)
-        .ok_or("bench json: missing tag")?;
-    let host = v.get("host").ok_or("bench json: missing host")?;
-    for key in ["os", "arch"] {
-        if host.get(key).and_then(Value::as_str).is_none() {
-            return Err(format!("bench json: host has no {key}"));
-        }
-    }
-    let suite = v
-        .get("suite")
-        .and_then(Value::as_arr)
-        .ok_or("bench json: missing suite array")?;
-    if suite.is_empty() {
-        return Err("bench json: suite is empty".into());
-    }
-    for (i, entry) in suite.iter().enumerate() {
-        for key in ["name", "metric"] {
-            if entry.get(key).and_then(Value::as_str).is_none() {
-                return Err(format!("bench json: suite[{i}] has no {key}"));
-            }
-        }
-        for key in ["value", "wall_ns"] {
-            if entry.get(key).and_then(Value::as_f64).is_none() {
-                return Err(format!("bench json: suite[{i}] has no {key}"));
-            }
-        }
-    }
-    let totals = v.get("totals").ok_or("bench json: missing totals")?;
-    for key in ["points_per_sec", "cycles_per_sec"] {
-        let rate = totals
-            .get(key)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("bench json: totals has no {key}"))?;
-        // NaN must fail too, so test is_finite rather than negating `>`.
-        if !rate.is_finite() || rate <= 0.0 {
-            return Err(format!("bench json: totals.{key} is not positive ({rate})"));
-        }
-    }
-    Ok(Checked {
-        what: format!("bench {tag}: {} suite entries", suite.len()),
-        snapshots: usize::MAX,
-        events_dropped: 0,
-    })
-}
-
 /// Validate a bare event stream (`lpm-serve`'s `events.jsonl`): every
 /// line must be a parsable typed event. There is no summary record, so
 /// drop detection rides entirely on the `seq` numbers.
@@ -340,7 +277,6 @@ fn check(path: &str, text: &str) -> Result<Checked, String> {
     match first_type.as_deref() {
         Some("point") => check_sweep_jsonl(text),
         Some("checkpoint-header") => check_checkpoint_jsonl(text),
-        Some("bench") => check_bench_json(text),
         Some("event") => check_event_stream(text),
         _ => {
             let log = TelemetryLog::from_jsonl(text)?;
@@ -357,19 +293,37 @@ fn check(path: &str, text: &str) -> Result<Checked, String> {
     }
 }
 
-fn main() -> ExitCode {
+const USAGE: &str = "usage: telemetry_check [--strict] <file.jsonl|file.csv>";
+
+/// Parse the command line into `(strict, path)`: an optional
+/// `--strict`, exactly one path, and nothing else.
+fn parse_args(args: &[String]) -> Result<(bool, String), String> {
     let mut strict = false;
-    let mut path = None;
-    for arg in std::env::args().skip(1) {
+    let mut path: Option<&String> = None;
+    for arg in args {
         if arg == "--strict" {
             strict = true;
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown flag {arg:?}"));
+        } else if let Some(first) = path {
+            return Err(format!("one file per call (got {first:?} and {arg:?})"));
         } else {
             path = Some(arg);
         }
     }
-    let Some(path) = path else {
-        eprintln!("usage: telemetry_check [--strict] <file.jsonl|file.csv>");
-        return ExitCode::from(2);
+    let path = path.ok_or("no file given")?;
+    Ok((strict, path.clone()))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (strict, path) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("telemetry_check: {e}");
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
     };
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
@@ -418,5 +372,39 @@ fn main() -> ExitCode {
             eprintln!("telemetry_check: {path} is malformed: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_args_takes_one_path_and_an_optional_strict() {
+        assert_eq!(
+            parse_args(&args(&["a.jsonl"])),
+            Ok((false, "a.jsonl".into()))
+        );
+        assert_eq!(
+            parse_args(&args(&["--strict", "a.jsonl"])),
+            Ok((true, "a.jsonl".into()))
+        );
+        assert_eq!(
+            parse_args(&args(&["a.csv", "--strict"])),
+            Ok((true, "a.csv".into()))
+        );
+    }
+
+    #[test]
+    fn parse_args_rejects_extra_paths_unknown_flags_and_nothing() {
+        assert!(parse_args(&args(&["a.jsonl", "b.jsonl"])).is_err());
+        assert!(parse_args(&args(&["--strcit", "a.jsonl"])).is_err());
+        assert!(parse_args(&args(&["-s", "a.jsonl"])).is_err());
+        assert!(parse_args(&args(&[])).is_err());
+        assert!(parse_args(&args(&["--strict"])).is_err());
     }
 }

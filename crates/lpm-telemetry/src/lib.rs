@@ -45,7 +45,7 @@ pub mod snapshot;
 pub use event::{DecisionCase, Event, JobPhase, SkipReason};
 pub use export::{FaultTotals, HealthCounters, RunSummary, TelemetryLog};
 pub use json::Value;
-pub use prof::{wall_now, AttrSample, CycleAttribution, Profiled, WallProfile, WallSpan};
+pub use prof::{wall_now, AttrSample, CycleAttribution, Profiled};
 pub use snapshot::{CycleAccum, CycleSample, Histogram, LayerMetrics, MetricsSnapshot};
 
 use std::collections::VecDeque;

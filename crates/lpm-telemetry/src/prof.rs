@@ -10,19 +10,17 @@
 //!
 //! **Wall-clock face.** [`wall_now`] is the *single sanctioned*
 //! `Instant` constructor in the workspace (lint rule D002 bans every
-//! other one outside shims), and [`WallProfile`] builds hierarchical
-//! phase spans on top of it. Wall timings go only to stderr and
-//! side-channel files (`BENCH_*.json`, span reports) — never into a
-//! deterministic export. The two faces never mix: nothing in
-//! [`CycleAttribution`] can observe a clock, and nothing in
-//! [`WallProfile`] can reach result bytes.
+//! other one outside shims). Wall timings go only to stderr and
+//! side-channel files — never into a deterministic export. The two
+//! faces never mix: nothing in [`CycleAttribution`] can observe a
+//! clock, and lint rule F001 proves no wall-clock value reaches
+//! result bytes.
 
-use std::cell::RefCell;
 use std::time::Instant;
 
 use crate::json::Value;
 use crate::snapshot::{CycleAccum, CycleSample, MetricsSnapshot};
-use crate::{count_u64, Event, Recorder};
+use crate::{Event, Recorder};
 
 // ---------------------------------------------------------------------
 // Deterministic face: simulated-cycle attribution.
@@ -322,7 +320,7 @@ impl<R: Recorder> Recorder for Profiled<R> {
 }
 
 // ---------------------------------------------------------------------
-// Wall-clock face: the sanctioned Instant constructor + phase spans.
+// Wall-clock face: the sanctioned Instant constructor.
 // ---------------------------------------------------------------------
 
 /// The one sanctioned wall-clock read in the workspace. Every caller
@@ -332,154 +330,6 @@ impl<R: Recorder> Recorder for Profiled<R> {
 pub fn wall_now() -> Instant {
     // lpm-lint: allow(D002) the single sanctioned wall-clock entry point; feeds spans/stderr/side-channel files only, never deterministic exports
     Instant::now()
-}
-
-/// One node of the span hierarchy.
-#[derive(Debug, Clone)]
-struct WallNode {
-    name: String,
-    parent: Option<usize>,
-    total_ns: u64,
-    count: u64,
-}
-
-#[derive(Debug, Default)]
-struct WallInner {
-    nodes: Vec<WallNode>,
-    stack: Vec<usize>,
-}
-
-/// Hierarchical wall-clock phase profile. Spans are RAII guards
-/// ([`WallProfile::span`]) that nest naturally; each distinct
-/// (parent, name) pair gets one node accumulating total nanoseconds and
-/// hit counts. Interior mutability keeps the guards ergonomic in
-/// single-threaded drivers (benches, CLI phases).
-#[derive(Debug, Default)]
-pub struct WallProfile {
-    inner: RefCell<WallInner>,
-}
-
-impl WallProfile {
-    /// An empty profile.
-    pub fn new() -> Self {
-        WallProfile::default()
-    }
-
-    /// Open a span named `name` under the currently open span (or at
-    /// the root). Dropping the guard closes it and accumulates its
-    /// elapsed nanoseconds.
-    pub fn span(&self, name: &str) -> WallSpan<'_> {
-        let mut inner = self.inner.borrow_mut();
-        let parent = inner.stack.last().copied();
-        let node = inner
-            .nodes
-            .iter()
-            .position(|n| n.parent == parent && n.name == name)
-            .unwrap_or_else(|| {
-                inner.nodes.push(WallNode {
-                    name: name.to_string(),
-                    parent,
-                    total_ns: 0,
-                    count: 0,
-                });
-                inner.nodes.len() - 1
-            });
-        inner.stack.push(node);
-        WallSpan {
-            profile: self,
-            node,
-            start: wall_now(),
-        }
-    }
-
-    /// Total nanoseconds accumulated by the first span named `name`.
-    pub fn total_ns(&self, name: &str) -> u64 {
-        self.inner
-            .borrow()
-            .nodes
-            .iter()
-            .find(|n| n.name == name)
-            .map(|n| n.total_ns)
-            .unwrap_or(0)
-    }
-
-    fn close(&self, node: usize, elapsed_ns: u64) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.stack.last() == Some(&node) {
-            inner.stack.pop();
-        }
-        if let Some(n) = inner.nodes.get_mut(node) {
-            n.total_ns = n.total_ns.saturating_add(elapsed_ns);
-            n.count += 1;
-        }
-    }
-
-    /// Indented text report (children under parents, insertion order) —
-    /// stderr/side-channel material only.
-    pub fn report(&self) -> String {
-        let inner = self.inner.borrow();
-        let mut out = String::from("wall-clock phase spans:\n");
-        fn emit(nodes: &[WallNode], parent: Option<usize>, depth: usize, out: &mut String) {
-            for (i, n) in nodes.iter().enumerate() {
-                if n.parent != parent {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "{:indent$}{:<24} {:>14} ns  ({} call{})\n",
-                    "",
-                    n.name,
-                    n.total_ns,
-                    n.count,
-                    if n.count == 1 { "" } else { "s" },
-                    indent = 2 + depth * 2,
-                ));
-                emit(nodes, Some(i), depth + 1, out);
-            }
-        }
-        emit(&inner.nodes, None, 0, &mut out);
-        out
-    }
-
-    /// JSON form: a flat span array with parent indices — side-channel
-    /// files only (`BENCH_*.json`), never deterministic exports.
-    pub fn to_json(&self) -> Value {
-        let inner = self.inner.borrow();
-        Value::Arr(
-            inner
-                .nodes
-                .iter()
-                .map(|n| {
-                    Value::Obj(vec![
-                        ("name".into(), Value::Str(n.name.clone())),
-                        (
-                            "parent".into(),
-                            match n.parent {
-                                Some(p) => Value::Uint(count_u64(p)),
-                                None => Value::Null,
-                            },
-                        ),
-                        ("total_ns".into(), Value::Uint(n.total_ns)),
-                        ("count".into(), Value::Uint(n.count)),
-                    ])
-                })
-                .collect(),
-        )
-    }
-}
-
-/// RAII guard for one open wall-clock span.
-#[derive(Debug)]
-pub struct WallSpan<'a> {
-    profile: &'a WallProfile,
-    node: usize,
-    start: Instant,
-}
-
-impl Drop for WallSpan<'_> {
-    fn drop(&mut self) {
-        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.profile.close(self.node, ns);
-    }
 }
 
 #[cfg(test)]
@@ -592,26 +442,5 @@ mod tests {
         assert!(t.contains("cycles 4"));
         assert!(t.contains("dram-saturated"));
         assert!(t.contains("( 75.00%)"), "{t}");
-    }
-
-    #[test]
-    fn wall_profile_nests_and_reports() {
-        let prof = WallProfile::new();
-        {
-            let _outer = prof.span("suite");
-            for _ in 0..2 {
-                let _inner = prof.span("case");
-            }
-        }
-        let report = prof.report();
-        assert!(report.contains("suite"));
-        assert!(report.contains("case"));
-        assert!(report.contains("(2 calls)"));
-        let json = prof.to_json().to_json();
-        let v = Value::parse(&json).unwrap();
-        let arr = v.as_arr().unwrap();
-        assert_eq!(arr.len(), 2);
-        assert_eq!(arr[1].get("parent").and_then(Value::as_u64), Some(0));
-        assert_eq!(arr[1].get("count").and_then(Value::as_u64), Some(2));
     }
 }
