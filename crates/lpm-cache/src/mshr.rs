@@ -7,8 +7,6 @@
 //! sustain — the `CM`-side knob of the C-AMAT model and one of the Table I
 //! design-space parameters.
 
-use std::collections::BTreeMap;
-
 use crate::cache::AccessId;
 
 /// One waiting access attached to an MSHR entry.
@@ -61,7 +59,12 @@ pub enum MshrAccept {
 pub struct MshrFile {
     capacity: usize,
     targets_per_entry: usize,
-    entries: BTreeMap<u64, MshrEntry>,
+    /// Outstanding entries in no particular order: a file holds at most
+    /// a few dozen, where a linear search beats any tree or hash.
+    entries: Vec<MshrEntry>,
+    /// `entries[i].line_addr` at index `i`: the search scans these
+    /// packed addresses instead of striding over whole entries.
+    lines: Vec<u64>,
     /// Demand targets currently waiting, across all entries (incremental
     /// mirror of the sum the analyzer samples every cycle).
     waiting: u64,
@@ -82,9 +85,8 @@ impl MshrFile {
         MshrFile {
             capacity,
             targets_per_entry,
-            // Ordered by line address: iteration (diagnostics, pure-miss
-            // marking) is deterministic regardless of allocation order.
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
+            lines: Vec::new(),
             waiting: 0,
             unpure: 0,
             spare_targets: Vec::new(),
@@ -105,7 +107,13 @@ impl MshrFile {
 
     /// Whether a miss on `line_addr` is already outstanding.
     pub fn contains(&self, line_addr: u64) -> bool {
-        self.entries.contains_key(&line_addr)
+        self.position(line_addr).is_some()
+    }
+
+    /// Index of the entry for `line_addr` in `entries`.
+    #[inline]
+    fn position(&self, line_addr: u64) -> Option<usize> {
+        self.lines.iter().position(|&l| l == line_addr)
     }
 
     /// Try to register a demand miss.
@@ -115,7 +123,8 @@ impl MshrFile {
         id: AccessId,
         is_store: bool,
     ) -> Result<MshrAccept, MshrReject> {
-        if let Some(e) = self.entries.get_mut(&line_addr) {
+        if let Some(i) = self.position(line_addr) {
+            let e = &mut self.entries[i];
             if e.targets.len() >= self.targets_per_entry {
                 return Err(MshrReject::TargetsFull);
             }
@@ -138,15 +147,12 @@ impl MshrFile {
             is_store,
             pure: false,
         });
-        self.entries.insert(
+        self.push(MshrEntry {
             line_addr,
-            MshrEntry {
-                line_addr,
-                targets,
-                prefetch_only: false,
-                started_as_prefetch: false,
-            },
-        );
+            targets,
+            prefetch_only: false,
+            started_as_prefetch: false,
+        });
         self.waiting += 1;
         self.unpure += 1;
         Ok(MshrAccept::Primary)
@@ -156,27 +162,33 @@ impl MshrFile {
     /// `Ok(true)` if a new entry was allocated, `Ok(false)` if the line is
     /// already outstanding (the prefetch is redundant).
     pub fn allocate_prefetch(&mut self, line_addr: u64) -> Result<bool, MshrReject> {
-        if self.entries.contains_key(&line_addr) {
+        if self.contains(line_addr) {
             return Ok(false);
         }
         if self.entries.len() >= self.capacity {
             return Err(MshrReject::Full);
         }
-        self.entries.insert(
+        let targets = self.spare_targets.pop().unwrap_or_default();
+        self.push(MshrEntry {
             line_addr,
-            MshrEntry {
-                line_addr,
-                targets: self.spare_targets.pop().unwrap_or_default(),
-                prefetch_only: true,
-                started_as_prefetch: true,
-            },
-        );
+            targets,
+            prefetch_only: true,
+            started_as_prefetch: true,
+        });
         Ok(true)
+    }
+
+    /// Add `entry`, keeping `lines` index-aligned with `entries`.
+    fn push(&mut self, entry: MshrEntry) {
+        self.lines.push(entry.line_addr);
+        self.entries.push(entry);
     }
 
     /// Complete a fill: remove and return the entry for `line_addr`.
     pub fn complete(&mut self, line_addr: u64) -> Option<MshrEntry> {
-        let e = self.entries.remove(&line_addr)?;
+        let i = self.position(line_addr)?;
+        self.lines.swap_remove(i);
+        let e = self.entries.swap_remove(i);
         self.waiting -= e.targets.len() as u64;
         self.unpure -= e.targets.iter().filter(|t| !t.pure).count() as u64;
         Some(e)
@@ -192,11 +204,6 @@ impl MshrFile {
         }
     }
 
-    /// Iterate over every waiting demand access (for analyzer sampling).
-    pub fn waiting_accesses(&self) -> impl Iterator<Item = &Target> {
-        self.entries.values().flat_map(|e| e.targets.iter())
-    }
-
     /// Mark every currently waiting access as pure; returns how many flags
     /// flipped from false to true (newly discovered pure misses).
     pub fn mark_all_pure(&mut self) -> u64 {
@@ -204,7 +211,7 @@ impl MshrFile {
             return 0;
         }
         let mut newly = 0;
-        for e in self.entries.values_mut() {
+        for e in &mut self.entries {
             for t in &mut e.targets {
                 if !t.pure {
                     t.pure = true;
@@ -222,22 +229,25 @@ impl MshrFile {
         debug_assert_eq!(
             self.waiting,
             self.entries
-                .values()
+                .iter()
                 .map(|e| e.targets.len() as u64)
                 .sum::<u64>()
         );
         self.waiting
     }
 
-    /// The line addresses of all outstanding entries (diagnostics).
+    /// The line addresses of all outstanding entries in ascending order
+    /// (diagnostics).
     pub fn outstanding_lines(&self) -> Vec<u64> {
-        self.entries.keys().copied().collect()
+        let mut lines = self.lines.clone();
+        lines.sort_unstable();
+        lines
     }
 
     /// Set the pure flag on one specific waiting access, if present.
     pub fn set_pure(&mut self, line_addr: u64, id: AccessId) {
-        if let Some(e) = self.entries.get_mut(&line_addr) {
-            for t in &mut e.targets {
+        if let Some(i) = self.position(line_addr) {
+            for t in &mut self.entries[i].targets {
                 if t.id == id && !t.pure {
                     t.pure = true;
                     self.unpure -= 1;

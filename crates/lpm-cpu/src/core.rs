@@ -80,8 +80,9 @@ impl CoreConfig {
 /// Execution state of a ROB entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
-    /// Not yet issued (waiting for dependences or an issue slot); its
-    /// seq sits in `Core::issue_queue`.
+    /// Not yet issued (waiting for its producer or an issue slot). Once
+    /// the producer is `Done` or retired its seq sits in `Core::ready`;
+    /// until then it hangs on the producer's consumer chain.
     Waiting,
     /// Compute op executing; its completion cycle sits in
     /// `Core::executing`.
@@ -96,8 +97,22 @@ enum State {
 struct RobEntry {
     seq: u64,
     op: Op,
-    dep_seq: Option<u64>,
     state: State,
+    /// Newest consumer linked to this entry while it was not yet `Done`,
+    /// as its distance in seqs (its `dep`; 0: none): the head of an
+    /// intrusive list threaded through `next_consumer`. Taken, and its
+    /// members woken, when this entry becomes `Done`. Distances rather
+    /// than seqs keep the entry small.
+    first_consumer: u32,
+    /// The next-older consumer of this entry's producer, as its distance
+    /// in seqs from that producer (0: none).
+    next_consumer: u32,
+}
+
+/// The producer of instruction `seq`: the one `dep` instructions before
+/// it, when the trace names one (`dep > 0`) that exists.
+fn producer(seq: u64, dep: u32) -> Option<u64> {
+    (dep > 0 && u64::from(dep) <= seq).then(|| seq - u64::from(dep))
 }
 
 /// Measured core-side quantities.
@@ -200,13 +215,17 @@ pub struct Core {
     /// in flight). Updated at issue, recomputed when completions drain —
     /// turns the per-cycle "anything due?" checks into one comparison.
     exec_min_done: u64,
-    /// Seqs of the `State::Waiting` ROB entries, in ROB order: the issue
-    /// window's occupants. Dispatch appends, issue removes; issue and
-    /// [`Core::can_act`] walk only this queue, never the issued entries
-    /// between its members in the ROB.
-    issue_queue: Vec<u64>,
+    /// Seqs of the `State::Waiting` entries whose producer is `Done` or
+    /// retired, in ascending order. Dispatch appends an entry that is
+    /// ready at once; the rest join when their producer becomes `Done`
+    /// (compute completion, a load's [`Core::complete_mem`], a store's
+    /// issue). Issue and [`Core::can_act`] walk only this list, never a
+    /// dependence-blocked entry.
+    ready: Vec<u64>,
+    /// Number of `State::Waiting` entries: the issue window's occupancy.
+    waiting: usize,
     /// Memoized idle verdict: `true` means the *state-based* clauses of
-    /// [`Core::can_act`] (retirable head, issuable Waiting entry,
+    /// [`Core::can_act`] (retirable head, issuable ready entry,
     /// dispatch room) were checked and found false, and no state has
     /// changed since. Those clauses do not depend on the cycle number,
     /// so the verdict stays valid until an event mutates the core: a
@@ -245,7 +264,8 @@ impl Core {
             compute_done_this_cycle: false,
             executing: Vec::new(),
             exec_min_done: u64::MAX,
-            issue_queue: Vec::with_capacity(cfg.iw_size as usize),
+            ready: Vec::with_capacity(cfg.iw_size as usize),
+            waiting: 0,
             idle_memo: std::cell::Cell::new(false),
         }
     }
@@ -318,75 +338,105 @@ impl Core {
     }
 
     /// Deliver a memory completion for instruction `id` (the sequence
-    /// number passed to the port). Unknown ids (e.g. posted stores already
-    /// retired) are ignored.
+    /// number passed to the port): a posted store's write landing or a
+    /// load's data arriving. Unknown ids are ignored and change nothing.
     pub fn complete_mem(&mut self, id: u64) {
-        // A completion can ready a dependent or free a store-buffer
-        // slot: any cached idle verdict is stale.
-        self.idle_memo.set(false);
-        if self.outstanding_mem > 0 {
-            self.outstanding_mem -= 1;
-        }
         if let Some(i) = self.posted_stores.iter().position(|&p| p == id) {
+            // A posted store's write landed; nothing waits on it, but its
+            // store-buffer slot may unblock a ready store.
             self.posted_stores.swap_remove(i);
-            return; // a posted store's write landed; nothing waits on it
+            self.outstanding_mem -= 1;
+            self.idle_memo.set(false);
+            return;
         }
-        if let Some(head_seq) = self.rob.front().map(|e| e.seq) {
-            if id >= head_seq {
-                let idx = (id - head_seq) as usize;
-                if let Some(e) = self.rob.get_mut(idx) {
-                    if e.seq == id && e.state == State::WaitingMem {
-                        e.state = State::Done;
-                    }
-                }
-            }
+        let Some(head_seq) = self.rob.front().map(|e| e.seq) else {
+            return;
+        };
+        let idx = id.wrapping_sub(head_seq) as usize;
+        if self
+            .rob
+            .get(idx)
+            .is_none_or(|e| e.state != State::WaitingMem)
+        {
+            return;
         }
-        self.debug_check_issue_queue();
+        self.rob[idx].state = State::Done;
+        self.outstanding_mem -= 1;
+        self.wake_consumers(idx, head_seq, 0);
+        // The load may retire or have readied consumers: any cached idle
+        // verdict is stale.
+        self.idle_memo.set(false);
+        self.debug_check_wakeup();
     }
 
-    /// Debug-build invariant: the issue queue holds exactly the seqs of
-    /// the `Waiting` ROB entries, in ROB order.
-    fn debug_check_issue_queue(&self) {
+    /// The entry at ROB index `idx` just became `Done`: move every
+    /// consumer on its chain into `ready`, each at its seq position
+    /// within `ready[from..]` (issue passes the unexamined part of the
+    /// list it is walking, so a store's consumers are selected later in
+    /// the same cycle).
+    #[inline]
+    fn wake_consumers(&mut self, idx: usize, head_seq: u64, from: usize) {
+        let producer_seq = self.rob[idx].seq;
+        let mut dist = std::mem::take(&mut self.rob[idx].first_consumer);
+        while dist != 0 {
+            let seq = producer_seq + u64::from(dist);
+            let e = &self.rob[(seq - head_seq) as usize];
+            debug_assert_eq!(
+                e.state,
+                State::Waiting,
+                "woken consumer {seq} already issued"
+            );
+            dist = e.next_consumer;
+            let at = from + self.ready[from..].partition_point(|&s| s < seq);
+            self.ready.insert(at, seq);
+        }
+    }
+
+    /// Debug-build invariant: `ready` holds exactly the seqs of the
+    /// `Waiting` entries whose producer is `Done` or retired, in
+    /// ascending order, and `waiting` counts every `Waiting` entry.
+    fn debug_check_wakeup(&self) {
+        let head_seq = self.rob.front().map_or(0, |e| e.seq);
+        let producer_done =
+            |d: u64| d < head_seq || self.rob[(d - head_seq) as usize].state == State::Done;
+        let waiting = self.rob.iter().filter(|e| e.state == State::Waiting);
         debug_assert!(
-            self.rob
-                .iter()
-                .filter(|e| e.state == State::Waiting)
+            waiting
+                .clone()
+                .filter(|e| {
+                    let instr = self.trace.instrs()[(e.seq % self.trace.len() as u64) as usize];
+                    producer(e.seq, instr.dep).is_none_or(producer_done)
+                })
                 .map(|e| e.seq)
-                .eq(self.issue_queue.iter().copied()),
-            "issue queue {:?} out of step with the ROB's Waiting entries",
-            self.issue_queue
+                .eq(self.ready.iter().copied()),
+            "ready list {:?} out of step with the ROB",
+            self.ready
         );
+        debug_assert_eq!(self.waiting, waiting.count(), "waiting count out of step");
     }
 
-    /// Whether the queued `Waiting` entry `seq` takes an issue slot this
-    /// cycle, given the ROB head's seq: its producer has retired (below
-    /// the head) or is `Done` and, for a store, the store buffer has
-    /// room. Returns its ROB index and op. Issue and [`Core::can_act`]
-    /// both decide through this one helper, over the same window, so
-    /// they cannot drift apart.
+    /// Whether `op` is a store facing a full store buffer: it stalls in
+    /// the window without using an issue slot.
     #[inline]
-    fn issuable(&self, seq: u64, head_seq: u64) -> Option<(usize, Op)> {
-        let idx = (seq - head_seq) as usize;
-        let e = &self.rob[idx];
-        let dep_ready = e.dep_seq.is_none_or(|d| {
-            d < head_seq
-                || self
-                    .rob
-                    .get((d - head_seq) as usize)
-                    .is_none_or(|p| p.state == State::Done)
-        });
-        // A store facing a full store buffer stalls without using a slot.
-        let store_blocked = matches!(e.op, Op::Store(_))
-            && self.posted_stores.len() >= self.cfg.store_buffer as usize;
-        (dep_ready && !store_blocked).then_some((idx, e.op))
+    fn store_blocked(&self, op: Op) -> bool {
+        matches!(op, Op::Store(_)) && self.posted_stores.len() >= self.cfg.store_buffer as usize
     }
 
-    /// The issue window: the first `iw_size` entries of the issue queue.
-    /// A window shrunk by [`Core::reconfigure`] below the queue length
-    /// leaves the later entries waiting outside it.
-    #[inline]
-    fn window_len(&self) -> usize {
-        self.issue_queue.len().min(self.cfg.iw_size as usize)
+    /// The seq of the issue window's last entry: the `iw_size`-th
+    /// `Waiting` entry in ROB order, or `u64::MAX` when all of them fit.
+    /// Dispatch stops at `iw_size` Waiting entries, so only a shrinking
+    /// [`Core::reconfigure`] leaves some outside the window, and only
+    /// then does this scan the ROB.
+    fn window_end(&self) -> u64 {
+        let iw_size = self.cfg.iw_size as usize;
+        if self.waiting <= iw_size {
+            return u64::MAX;
+        }
+        self.rob
+            .iter()
+            .filter(|e| e.state == State::Waiting)
+            .nth(iw_size - 1)
+            .map_or(u64::MAX, |e| e.seq)
     }
 
     /// Whether [`Core::cycle`] at `now` could do anything beyond the
@@ -396,12 +446,11 @@ impl Core {
     /// provably inert and may be coalesced into a span whose stats are
     /// applied by [`Core::skip_idle_span`].
     ///
-    /// The one deliberate exclusion matches the issue stage, which
-    /// decides through the same [`Core::issuable`] helper: a ready store
-    /// blocked on a full store buffer is skipped there without touching
-    /// any persistent state, so it does not make a cycle actionable (and
-    /// the buffer cannot drain without an external completion, which
-    /// ends the span at the CMP level anyway).
+    /// The one deliberate exclusion matches the issue stage: a ready
+    /// store blocked on a full store buffer is skipped there without
+    /// touching any persistent state, so it does not make a cycle
+    /// actionable (and the buffer cannot drain without an external
+    /// completion, which ends the span at the CMP level anyway).
     pub fn can_act(&self, now: u64) -> bool {
         // Step 1/2: an executing op completing, or a retirable head.
         if self.exec_min_done <= now {
@@ -415,18 +464,21 @@ impl Core {
         if matches!(self.rob.front(), Some(e) if e.state == State::Done) {
             return true;
         }
-        // Step 3: any entry in the issue window that would issue a
-        // compute or attempt the port acts this cycle.
+        // Step 3: the first ready entry that is not a blocked store
+        // issues a compute or attempts the port, if it is inside the
+        // issue window.
         let head_seq = self.rob.front().map_or(0, |e| e.seq);
-        if self.issue_queue[..self.window_len()]
+        if self
+            .ready
             .iter()
-            .any(|&seq| self.issuable(seq, head_seq).is_some())
+            .find(|&&seq| !self.store_blocked(self.rob[(seq - head_seq) as usize].op))
+            .is_some_and(|&seq| seq <= self.window_end())
         {
             return true;
         }
         // Step 4: dispatch possible.
         let dispatchable = self.rob.len() < self.cfg.rob_size as usize
-            && self.issue_queue.len() < self.cfg.iw_size as usize
+            && self.waiting < self.cfg.iw_size as usize
             && self.next_dispatch < self.total_instructions;
         if !dispatchable {
             // Every state-based clause is false: cache the verdict so
@@ -490,14 +542,17 @@ impl Core {
 
         // 1. Complete executing compute ops (tracked in the small
         // `executing` mirror; entries in it never retire before they
-        // complete, so their seq→index mapping stays valid).
+        // complete, so their seq→index mapping stays valid) and wake
+        // their consumers.
         if self.exec_min_done <= now {
             let head_seq = self.rob.front().map_or(0, |e| e.seq);
             let mut i = 0;
             while i < self.executing.len() {
                 let (done_at, seq) = self.executing[i];
                 if done_at <= now {
-                    self.rob[(seq - head_seq) as usize].state = State::Done;
+                    let idx = (seq - head_seq) as usize;
+                    self.rob[idx].state = State::Done;
+                    self.wake_consumers(idx, head_seq, 0);
                     self.compute_done_this_cycle = true;
                     self.executing.swap_remove(i);
                 } else {
@@ -526,23 +581,31 @@ impl Core {
             retired_this_cycle += 1;
         }
 
-        // 3. Issue: walk the issue window (the first `iw_size` Waiting
-        // entries, in ROB order) and issue up to `issue_width` whose
-        // dependences are ready. Entries that stay Waiting are compacted
-        // to the front of the examined prefix; issued ones leave it.
+        // 3. Issue: walk the ready list in seq order up to the window's
+        // last entry and attempt up to `issue_width` of them (a port
+        // reject uses its slot; a blocked store does not). Entries that
+        // stay Waiting are compacted to the front of the examined prefix;
+        // issued ones leave it. A store is `Done` once issued, so its
+        // consumers join the unexamined rest of the list and may issue
+        // in this same walk.
         let head_seq = self.rob.front().map_or(0, |e| e.seq);
-        let window = self.window_len();
+        let window_end = self.window_end();
         let mut issued = 0u32;
         let mut examined = 0usize;
         let mut kept = 0usize;
-        while examined < window && issued < self.cfg.issue_width {
-            let seq = self.issue_queue[examined];
+        while examined < self.ready.len() && issued < self.cfg.issue_width {
+            let seq = self.ready[examined];
+            if seq > window_end {
+                break;
+            }
             examined += 1;
-            let Some((idx, op)) = self.issuable(seq, head_seq) else {
-                self.issue_queue[kept] = seq;
+            let idx = (seq - head_seq) as usize;
+            let op = self.rob[idx].op;
+            if self.store_blocked(op) {
+                self.ready[kept] = seq;
                 kept += 1;
                 continue;
-            };
+            }
             // Accepted or not, the attempt uses a slot.
             issued += 1;
             self.rob[idx].state = match op {
@@ -556,7 +619,7 @@ impl Core {
                     let is_store = matches!(op, Op::Store(_));
                     if !mem.try_access(now, seq, addr, is_store) {
                         self.stats.mem_rejects += 1;
-                        self.issue_queue[kept] = seq;
+                        self.ready[kept] = seq;
                         kept += 1;
                         continue;
                     }
@@ -567,20 +630,29 @@ impl Core {
                     // their data.
                     if is_store {
                         self.posted_stores.push(seq);
+                        self.wake_consumers(idx, head_seq, examined);
                         State::Done
                     } else {
                         State::WaitingMem
                     }
                 }
             };
+            self.waiting -= 1;
         }
-        self.issue_queue.drain(kept..examined);
+        self.ready.drain(kept..examined);
 
-        // 4. Dispatch from the trace into the ROB and the issue queue.
+        // 4. Dispatch from the trace into the ROB. An entry whose
+        // producer is still in flight joins that producer's consumer
+        // chain; any other is ready at once, and as the youngest entry
+        // it belongs at the end of `ready`.
         let mut dispatched = 0u32;
+        let head_seq = self
+            .rob
+            .front()
+            .map_or(self.next_dispatch as u64, |e| e.seq);
         while dispatched < self.cfg.issue_width
             && self.rob.len() < self.cfg.rob_size as usize
-            && self.issue_queue.len() < self.cfg.iw_size as usize
+            && self.waiting < self.cfg.iw_size as usize
             && self.next_dispatch < self.total_instructions
         {
             let i = self.trace.instrs()[self.trace_cursor];
@@ -589,18 +661,25 @@ impl Core {
                 self.trace_cursor = 0;
             }
             let seq = self.next_dispatch as u64;
-            let dep_seq = if i.dep > 0 && (i.dep as u64) <= seq {
-                Some(seq - i.dep as u64)
-            } else {
-                None
+            let in_flight = producer(seq, i.dep)
+                .filter(|&d| d >= head_seq)
+                .map(|d| &mut self.rob[(d - head_seq) as usize])
+                .filter(|p| p.state != State::Done);
+            let next_consumer = match in_flight {
+                Some(p) => std::mem::replace(&mut p.first_consumer, i.dep),
+                None => {
+                    self.ready.push(seq);
+                    0
+                }
             };
             self.rob.push_back(RobEntry {
                 seq,
                 op: i.op,
-                dep_seq,
                 state: State::Waiting,
+                first_consumer: 0,
+                next_consumer,
             });
-            self.issue_queue.push(seq);
+            self.waiting += 1;
             self.next_dispatch += 1;
             dispatched += 1;
         }
@@ -625,7 +704,7 @@ impl Core {
                 self.stats.overlap_cycles += 1;
             }
         }
-        self.debug_check_issue_queue();
+        self.debug_check_wakeup();
     }
 }
 
@@ -1000,6 +1079,82 @@ mod tests {
             assert!(now < 10_000, "cores did not finish");
         }
         assert_eq!(per_cycle.stats(), skipped.stats());
+    }
+
+    /// A perfect memory that logs every `(now, id)` it is offered.
+    struct Logged {
+        attempts: Vec<(u64, u64)>,
+        inner: PerfectMemory,
+    }
+
+    impl MemoryPort for Logged {
+        fn try_access(&mut self, now: u64, id: u64, addr: u64, is_store: bool) -> bool {
+            self.attempts.push((now, id));
+            self.inner.try_access(now, id, addr, is_store)
+        }
+    }
+
+    /// Wakeup timing: a store is `Done` as it issues, so a load that
+    /// depends on it issues in the same cycle; a load is `Done` only at
+    /// its `complete_mem`, so its consumer waits for the data.
+    #[test]
+    fn store_wakes_consumer_in_cycle_and_load_wakes_at_completion() {
+        let trace: Trace = [
+            Instr::store(0),
+            Instr::load(64).depending_on(1),
+            Instr::load(128).depending_on(1),
+        ]
+        .into_iter()
+        .collect();
+        let mut core = Core::new(CoreConfig::small(), trace);
+        let mut mem = Logged {
+            attempts: Vec::new(),
+            inner: PerfectMemory::new(5),
+        };
+        let mut now = 0;
+        while !core.finished() {
+            for id in mem.inner.take_completions(now) {
+                core.complete_mem(id);
+            }
+            core.cycle(now, &mut mem);
+            now += 1;
+            assert!(now < 100, "core did not finish");
+        }
+        // All three dispatch in cycle 0. The store and its consumer issue
+        // together in cycle 1; the load's data lands in cycle 6.
+        assert_eq!(mem.attempts, [(1, 0), (1, 1), (6, 2)]);
+    }
+
+    /// An id that matches no posted store and no load awaiting data
+    /// changes nothing: it must not count as a completed access.
+    #[test]
+    fn unknown_completion_ids_change_nothing() {
+        let trace: Trace = [Instr::load(0), Instr::compute(), Instr::compute()]
+            .into_iter()
+            .collect();
+        let mut clean = Core::new(CoreConfig::small(), trace.clone());
+        let mut bogus = Core::new(CoreConfig::small(), trace);
+        let mut clean_mem = PerfectMemory::new(20);
+        let mut bogus_mem = PerfectMemory::new(20);
+        let mut now = 0;
+        while !clean.finished() || !bogus.finished() {
+            for id in clean_mem.take_completions(now) {
+                clean.complete_mem(id);
+            }
+            for id in bogus_mem.take_completions(now) {
+                bogus.complete_mem(id);
+            }
+            // Never issued, a compute, already retired or never dispatched.
+            for id in [1, 2, 99, u64::MAX] {
+                bogus.complete_mem(id);
+            }
+            clean.cycle(now, &mut clean_mem);
+            bogus.cycle(now, &mut bogus_mem);
+            assert_eq!(clean.stats(), bogus.stats(), "cycle {now}");
+            now += 1;
+            assert!(now < 1_000, "cores did not finish");
+        }
+        assert_eq!(clean.stats().mem_busy_cycles, 20);
     }
 
     #[test]

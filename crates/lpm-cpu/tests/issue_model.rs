@@ -1,8 +1,8 @@
-//! Differential oracle for the core's issue queue: `Core` against a dumb
-//! model whose issue stage walks the whole ROB from head to tail every
-//! cycle, with no queue, cursor, counter or memo. Every cycle must make
-//! the same memory-port calls `(now, seq, addr, is_store)` and leave the
-//! same `CoreStats`; `Core::can_act` must say whether the model's cycle
+//! Differential oracle for the core's wakeup-driven issue: `Core` against
+//! a dumb model whose issue stage walks the whole ROB from head to tail
+//! every cycle, with no ready list, consumer chain, counter or memo.
+//! Every cycle must make the same memory-port calls
+//! `(now, seq, addr, is_store)` and leave the same `CoreStats`; `Core::can_act` must say whether the model's cycle
 //! does anything. Inputs: random traces with dependences, loads and
 //! stores; a port that rejects pseudo-randomly; random `reconfigure`
 //! calls that may shrink the issue window, ROB and store buffer below
@@ -121,9 +121,9 @@ impl Model {
     }
 
     fn complete_mem(&mut self, id: u64) {
-        self.outstanding = self.outstanding.saturating_sub(1);
         if let Some(i) = self.posted.iter().position(|&p| p == id) {
             self.posted.remove(i);
+            self.outstanding -= 1;
             return;
         }
         if let Some(e) = self
@@ -132,6 +132,7 @@ impl Model {
             .find(|e| e.seq == id && e.st == St::WaitingMem)
         {
             e.st = St::Done;
+            self.outstanding -= 1;
         }
     }
 
@@ -353,10 +354,10 @@ fn lockstep(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-    /// The issue queue decides exactly as a head-to-tail ROB walk, cycle
-    /// by cycle, under port rejections and runtime reconfiguration.
+    /// Wakeup-driven issue decides exactly as a head-to-tail ROB walk,
+    /// cycle by cycle, under port rejections and runtime reconfiguration.
     #[test]
-    fn issue_queue_matches_rob_walk_model(
+    fn wakeup_issue_matches_rob_walk_model(
         trace in arb_trace(160),
         repeats in 1u32..3,
         seed in any::<u64>(),

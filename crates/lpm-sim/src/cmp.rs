@@ -1523,8 +1523,9 @@ mod mlp_partition_tests {
         }
     }
 
-    /// A DRAM-streaming hog next to a latency-sensitive chaser.
-    fn build(quota: Option<u32>) -> Cmp {
+    /// A DRAM-streaming hog next to a latency-sensitive chaser, each
+    /// looping its trace `repeats` times.
+    fn build(quota: Option<u32>, repeats: u32) -> Cmp {
         let hog = lpm_trace::gen::StrideGen::new(8, 64, 4 << 20, 0.6).generate(40_000, 3);
         let victim = lpm_trace::gen::ChaseGen::new(8 << 20, 0.4).generate(12_000, 4);
         let mut l2 = CacheConfig::l2_default();
@@ -1534,7 +1535,7 @@ mod mlp_partition_tests {
             l2,
             DramConfig::ddr3_default(),
             vec![hog, victim],
-            100,
+            repeats,
             7,
         );
         cmp.set_mlp_partition(quota);
@@ -1544,7 +1545,7 @@ mod mlp_partition_tests {
     #[test]
     fn partition_protects_the_latency_sensitive_core() {
         let victim_progress = |quota: Option<u32>| -> u64 {
-            let mut cmp = build(quota);
+            let mut cmp = build(quota, 100);
             cmp.run_for(400_000);
             cmp.retired(1)
         };
@@ -1558,7 +1559,7 @@ mod mlp_partition_tests {
 
     #[test]
     fn quota_bounds_are_respected_and_balanced() {
-        let mut cmp = build(Some(2));
+        let mut cmp = build(Some(2), 100);
         for _ in 0..100_000 {
             cmp.step();
             assert!(
@@ -1567,20 +1568,18 @@ mod mlp_partition_tests {
                 cmp.l2_outstanding
             );
         }
-        // Quiesce: stop after the hog's current window and let everything
-        // drain; outstanding counters must return to zero.
-        let mut spare = 0;
-        while spare < 200_000 && cmp.l2_outstanding.iter().any(|&o| o > 0) {
-            cmp.step();
-            spare += 1;
-        }
-        // (cores keep issuing, so just check the invariant held throughout)
+        // Quiesce: with traces that end, run to completion and drain the
+        // memory system; every quota slot taken must have been returned.
+        let mut cmp = build(Some(2), 1);
+        assert!(cmp.run(10_000_000), "cores did not finish");
+        assert!(cmp.memory_idle(), "memory system did not drain");
+        assert_eq!(cmp.l2_outstanding, [0, 0]);
     }
 
     #[test]
     #[should_panic(expected = "at least one outstanding")]
     fn zero_quota_rejected() {
-        let mut cmp = build(None);
+        let mut cmp = build(None, 100);
         cmp.set_mlp_partition(Some(0));
     }
 }

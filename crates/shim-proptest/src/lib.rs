@@ -6,8 +6,9 @@
 //! Differences from upstream: cases are drawn from a deterministic
 //! per-test seed (derived from the test's name), there is **no
 //! shrinking** — a failure reports the exact inputs that triggered it —
-//! and the default case count is 64 (override with the `PROPTEST_CASES`
-//! environment variable or `ProptestConfig::with_cases`).
+//! and the default case count is 64. A block may set its own count with
+//! `ProptestConfig::with_cases`; the `PROPTEST_CASES` environment
+//! variable, when set to a number, overrides both for every block.
 
 #![forbid(unsafe_code)]
 
@@ -55,12 +56,21 @@ impl TestRng {
     }
 }
 
-/// Number of cases each property runs (env `PROPTEST_CASES` overrides).
+/// `own` cases, unless `env` (the value of `PROPTEST_CASES`) is a number.
+fn cases_with_override(env: Option<&str>, own: u32) -> u32 {
+    env.and_then(|v| v.parse().ok()).unwrap_or(own)
+}
+
+/// `own` cases, unless the `PROPTEST_CASES` environment variable
+/// overrides them.
+fn cases_or(own: u32) -> u32 {
+    cases_with_override(std::env::var("PROPTEST_CASES").ok().as_deref(), own)
+}
+
+/// Number of cases a block without its own count runs: 64, unless
+/// `PROPTEST_CASES` overrides it.
 pub fn default_cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
+    cases_or(64)
 }
 
 /// Per-block configuration (accepted via `#![proptest_config(..)]`).
@@ -79,9 +89,12 @@ impl Default for ProptestConfig {
 }
 
 impl ProptestConfig {
-    /// A config running `cases` cases.
+    /// A config running `cases` cases, unless `PROPTEST_CASES` is set:
+    /// the environment overrides every block's own count.
     pub fn with_cases(cases: u32) -> Self {
-        ProptestConfig { cases }
+        ProptestConfig {
+            cases: cases_or(cases),
+        }
     }
 }
 
@@ -414,6 +427,14 @@ mod tests {
         fn config_header_accepted(x in 0u8..2) {
             prop_assert!(x < 2);
         }
+    }
+
+    #[test]
+    fn env_count_overrides_every_block() {
+        assert_eq!(crate::cases_with_override(None, 256), 256);
+        assert_eq!(crate::cases_with_override(Some("2000"), 256), 2000);
+        assert_eq!(crate::cases_with_override(Some("2000"), 64), 2000);
+        assert_eq!(crate::cases_with_override(Some("many"), 256), 256);
     }
 
     #[test]
