@@ -19,7 +19,7 @@ use lpm_core::design_space::HwConfig;
 use lpm_core::online::OnlineLpmController;
 use lpm_model::Grain;
 use lpm_sim::{FaultConfig, System, SystemConfig};
-use lpm_telemetry::{RingRecorder, RunSummary, TelemetryLog};
+use lpm_telemetry::{NullRecorder, RingRecorder, RunSummary, TelemetryLog};
 use lpm_trace::{Generator, SpecWorkload};
 
 fn main() {
@@ -86,8 +86,8 @@ fn main() {
     );
     let mut recorder = telemetry_out.as_ref().map(|_| RingRecorder::default());
     let run_result = match &mut recorder {
-        Some(rec) => ctl.try_run_recorded(&mut sys, 12, rec),
-        None => ctl.try_run(&mut sys, 12),
+        Some(rec) => ctl.try_run_recorded_budgeted(&mut sys, 12, rec, None),
+        None => ctl.try_run_recorded_budgeted(&mut sys, 12, &mut NullRecorder, None),
     };
     let log = match run_result {
         Ok(log) => log,

@@ -17,8 +17,8 @@ use lpm_core::online::OnlineLpmController;
 use lpm_core::optimizer::{run_lpm_loop, LpmOptimizer};
 use lpm_harness::{run_sweep_with, ChaosConfig, FaultClass, SweepOptions, SweepSpec};
 use lpm_model::Grain;
-use lpm_sim::{FaultConfig, System, SystemConfig};
-use lpm_telemetry::{RingRecorder, RunSummary, TelemetryLog, DEFAULT_EVENT_CAPACITY};
+use lpm_sim::{FaultConfig, System, SystemConfig, Until};
+use lpm_telemetry::{NullRecorder, RingRecorder, RunSummary, TelemetryLog, DEFAULT_EVENT_CAPACITY};
 use lpm_trace::{Generator, SpecWorkload, Trace};
 
 /// Exit code for a `--keep-going` sweep that completed with one or more
@@ -261,8 +261,14 @@ fn cmd_run(a: &Args) -> Result<(), String> {
     if !a.has("quiet") {
         eprintln!("simulating {label} for {n} instructions (half warmup) ...");
     }
-    let mut sys = System::new(cfg, trace, seed);
-    if !sys.run_with_warmup(n as u64 / 2, n as u64 * 2000 + 10_000_000) {
+    let mut sys = System::try_new_looping(cfg, trace, 1, seed).map_err(|e| e.to_string())?;
+    let cmp = sys.cmp_mut();
+    cmp.warm_up(n as u64 / 2);
+    let cap = n as u64 * 2000 + 10_000_000;
+    if !cmp
+        .run(Until::Finished, cap, &mut NullRecorder)
+        .map_err(|e| e.to_string())?
+    {
         return Err("trace did not drain within the cycle budget".into());
     }
     let r = sys.report();
@@ -433,7 +439,7 @@ fn cmd_online(a: &Args) -> Result<(), String> {
     let (log, telemetry) = if telemetry_out.is_some() {
         let mut rec = RingRecorder::new(capacity);
         let log = ctl
-            .try_run_recorded(&mut sys, 12, &mut rec)
+            .try_run_recorded_budgeted(&mut sys, 12, &mut rec, None)
             .map_err(|e| e.to_string())?;
         let summary = RunSummary {
             total_cycles: sys.now(),
@@ -443,7 +449,10 @@ fn cmd_online(a: &Args) -> Result<(), String> {
         };
         (log, Some(rec.into_log(summary)))
     } else {
-        (ctl.try_run(&mut sys, 12).map_err(|e| e.to_string())?, None)
+        let log = ctl
+            .try_run_recorded_budgeted(&mut sys, 12, &mut NullRecorder, None)
+            .map_err(|e| e.to_string())?;
+        (log, None)
     };
 
     // The human-readable report, built up front so it can be routed to

@@ -72,3 +72,31 @@ fn online_faulted_summary_matches_snapshot() {
     args.extend(["--faults", "all", "--fault-seed", "42"]);
     assert_golden("lpm_cli_online_faults.txt", &run_cli(&args));
 }
+
+#[test]
+fn online_interval_past_the_end_of_the_clock_exits_1_with_a_typed_error() {
+    // A wrapped `now + interval` would run twelve zero-cycle degenerate
+    // windows and exit 0 with no data.
+    let out = Command::new(env!("CARGO_BIN_EXE_lpm-cli"))
+        .args([
+            "online",
+            "--workload",
+            "gcc",
+            "--instructions",
+            "20000",
+            "--interval",
+            "18446744073709551615",
+        ])
+        .output()
+        .expect("lpm-cli should run");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("overflows the simulated clock"),
+        "unexpected stderr: {stderr}"
+    );
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("degenerate"),
+        "no interval may run"
+    );
+}

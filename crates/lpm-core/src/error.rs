@@ -26,6 +26,14 @@ pub enum LpmError {
         /// The minimum accepted interval, in cycles.
         min: u64,
     },
+    /// A run of `cycles` more cycles from cycle `now` would end past the
+    /// largest cycle the simulator's 64-bit clock can hold.
+    CycleOverflow {
+        /// The requested run length, in cycles.
+        cycles: u64,
+        /// The cycle the run would have started from.
+        now: u64,
+    },
 }
 
 impl fmt::Display for LpmError {
@@ -37,6 +45,10 @@ impl fmt::Display for LpmError {
                 f,
                 "intervals need enough samples: got {got} cycles, need at least {min}"
             ),
+            LpmError::CycleOverflow { cycles, now } => write!(
+                f,
+                "a run of {cycles} cycles from cycle {now} overflows the simulated clock"
+            ),
         }
     }
 }
@@ -46,7 +58,7 @@ impl std::error::Error for LpmError {
         match self {
             LpmError::Sim(e) => Some(e),
             LpmError::Model(e) => Some(e),
-            LpmError::InvalidInterval { .. } => None,
+            LpmError::InvalidInterval { .. } | LpmError::CycleOverflow { .. } => None,
         }
     }
 }

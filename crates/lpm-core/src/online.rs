@@ -31,10 +31,8 @@
 //! than silently ending adaptation.
 
 use lpm_model::Grain;
-use lpm_sim::{Cmp, System};
-use lpm_telemetry::{
-    DecisionCase, Event, HealthCounters, MetricsSnapshot, NullRecorder, Recorder, SkipReason,
-};
+use lpm_sim::{Cmp, SimError, System, Until};
+use lpm_telemetry::{DecisionCase, Event, HealthCounters, MetricsSnapshot, Recorder, SkipReason};
 
 use crate::design_space::HwConfig;
 use crate::error::LpmError;
@@ -178,6 +176,7 @@ pub struct OnlineLpmController {
 
 impl OnlineLpmController {
     /// A controller starting from `hw` with the given interval and grain.
+    /// Signature pinned by `benchmark/`.
     ///
     /// Fails with [`LpmError::InvalidInterval`] when `interval_cycles`
     /// is too short to carry meaningful counters.
@@ -204,7 +203,8 @@ impl OnlineLpmController {
     }
 
     /// Like [`OnlineLpmController::new`], with the
-    /// [`HardeningConfig::hardened`] defenses enabled.
+    /// [`HardeningConfig::hardened`] defenses enabled. Signature pinned
+    /// by `benchmark/`.
     pub fn new_hardened(
         hw: HwConfig,
         interval_cycles: u64,
@@ -215,7 +215,7 @@ impl OnlineLpmController {
         Ok(c)
     }
 
-    /// Health counters accumulated across `run`/`try_run` calls.
+    /// Health counters accumulated across runs.
     pub fn health(&self) -> ControllerHealth {
         self.health
     }
@@ -261,25 +261,30 @@ impl OnlineLpmController {
         }
     }
 
-    /// Run `intervals` adaptation intervals on the live system, returning
-    /// the adaptation log. The system keeps executing its trace
-    /// throughout; each record reflects one window. Panics on simulator
-    /// errors; use [`OnlineLpmController::try_run`] for typed errors.
-    pub fn run(&mut self, sys: &mut System, intervals: usize) -> Vec<IntervalRecord> {
-        self.try_run(sys, intervals)
-            // lpm-lint: allow(P001) documented panicking wrapper; fallible callers use try_run
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`OnlineLpmController::run`]: simulator
-    /// failures (deadlock, invalid reconfiguration) come back as
-    /// [`LpmError`] with the adaptation completed so far discarded.
-    pub fn try_run(
-        &mut self,
+    /// Advance `sys` by `cycles`, never past the absolute `cycle_budget`.
+    /// A run that would end past `u64::MAX` is refused up front with
+    /// [`LpmError::CycleOverflow`]; hitting the budget is
+    /// [`SimError::CycleBudgetExceeded`] at the cycle the cap was reached.
+    fn advance<R: Recorder>(
         sys: &mut System,
-        intervals: usize,
-    ) -> Result<Vec<IntervalRecord>, LpmError> {
-        self.try_run_recorded(sys, intervals, &mut NullRecorder)
+        cycles: u64,
+        rec: &mut R,
+        cycle_budget: Option<u64>,
+    ) -> Result<(), LpmError> {
+        let now = sys.now();
+        let end = now
+            .checked_add(cycles)
+            .ok_or(LpmError::CycleOverflow { cycles, now })?;
+        let budget = cycle_budget.unwrap_or(u64::MAX);
+        if sys.cmp_mut().run(Until::Cycle(end), budget, rec)? {
+            Ok(())
+        } else {
+            Err(SimError::CycleBudgetExceeded {
+                budget,
+                now: sys.now(),
+            }
+            .into())
+        }
     }
 
     /// Emit one [`Event::KnobChange`] per knob that differs between two
@@ -310,31 +315,27 @@ impl OnlineLpmController {
         }
     }
 
-    /// Recorder-aware variant of [`OnlineLpmController::try_run`]
-    /// (telemetry). With the no-op `NullRecorder` the instrumentation
-    /// monomorphizes away and the run is bit-for-bit identical to
-    /// [`OnlineLpmController::try_run`]. With a real recorder, every
-    /// interval contributes a [`MetricsSnapshot`] and the event log
-    /// captures decisions, knob changes, rollbacks, freezes, skipped
-    /// windows, threshold crossings and injected faults.
-    pub fn try_run_recorded<R: Recorder>(
-        &mut self,
-        sys: &mut System,
-        intervals: usize,
-        rec: &mut R,
-    ) -> Result<Vec<IntervalRecord>, LpmError> {
-        self.try_run_recorded_budgeted(sys, intervals, rec, None)
-    }
-
-    /// Budgeted variant of [`OnlineLpmController::try_run_recorded`]:
-    /// when `cycle_budget` is `Some(cap)`, every stepping call — the
-    /// measurement intervals and the reconfiguration-cost runs alike —
-    /// refuses to advance the simulation past absolute cycle `cap` and
+    /// Run `intervals` adaptation intervals on the live system, returning
+    /// the adaptation log. The system keeps executing its trace
+    /// throughout; each record reflects one window. Simulator failures
+    /// (deadlock, invalid reconfiguration) come back as [`LpmError`]
+    /// with the adaptation completed so far discarded. Signature pinned
+    /// by `benchmark/`.
+    ///
+    /// Telemetry: with the no-op `NullRecorder` the instrumentation
+    /// monomorphizes away and the run is bit-for-bit identical to an
+    /// uninstrumented one. With a real recorder, every interval
+    /// contributes a [`MetricsSnapshot`] and the event log captures
+    /// decisions, knob changes, rollbacks, freezes, skipped windows,
+    /// threshold crossings and injected faults.
+    ///
+    /// Budget: when `cycle_budget` is `Some(cap)`, every stepping call —
+    /// the measurement intervals and the reconfiguration-cost runs alike
+    /// — refuses to advance the simulation past absolute cycle `cap` and
     /// fails with `LpmError::Sim(SimError::CycleBudgetExceeded)` instead.
     /// The cap is checked against the simulated clock inside the step
     /// loop, so the failure cycle is a pure function of the run — the
     /// deterministic per-point watchdog the sweep harness builds on.
-    /// `None` is exactly [`OnlineLpmController::try_run_recorded`].
     pub fn try_run_recorded_budgeted<R: Recorder>(
         &mut self,
         sys: &mut System,
@@ -342,13 +343,6 @@ impl OnlineLpmController {
         rec: &mut R,
         cycle_budget: Option<u64>,
     ) -> Result<Vec<IntervalRecord>, LpmError> {
-        let step = |sys: &mut System, cycles: u64, rec: &mut R| -> Result<(), LpmError> {
-            match cycle_budget {
-                None => sys.try_run_for_with(cycles, rec)?,
-                Some(cap) => sys.try_run_for_with_budget(cycles, rec, cap)?,
-            }
-            Ok(())
-        };
         self.apply(sys);
         sys.cmp_mut().reset_measurement();
         let mut log = Vec::with_capacity(intervals);
@@ -359,7 +353,7 @@ impl OnlineLpmController {
         // excluded from deterministic comparisons.
         let mut last_wall = R::ENABLED.then(lpm_telemetry::wall_now);
         for _ in 0..intervals {
-            step(sys, self.interval_cycles, rec)?;
+            Self::advance(sys, self.interval_cycles, rec, cycle_budget)?;
             let report = sys.report();
             if report.core.retired == 0 || report.l1.accesses == 0 {
                 // Nothing measurable this window: the trace drained, or a
@@ -443,7 +437,7 @@ impl OnlineLpmController {
                                 let streak = self.regress_streak;
                                 self.hw = best_hw;
                                 self.apply(sys);
-                                step(sys, RECONFIG_COST_CYCLES, rec)?;
+                                Self::advance(sys, RECONFIG_COST_CYCLES, rec, cycle_budget)?;
                                 self.health.rollbacks += 1;
                                 rolled_back = true;
                                 if R::ENABLED {
@@ -490,7 +484,7 @@ impl OnlineLpmController {
                 });
                 self.apply(sys);
                 // The paper's reconfiguration cost: the core pauses.
-                step(sys, RECONFIG_COST_CYCLES, rec)?;
+                Self::advance(sys, RECONFIG_COST_CYCLES, rec, cycle_budget)?;
             }
             if R::ENABLED {
                 if !was_frozen && self.frozen {
@@ -572,6 +566,7 @@ impl OnlineLpmController {
 mod tests {
     use super::*;
     use lpm_sim::{System, SystemConfig};
+    use lpm_telemetry::NullRecorder;
     use lpm_trace::{Generator, SpecWorkload};
 
     fn online_run(intervals: usize) -> (Vec<IntervalRecord>, OnlineLpmController) {
@@ -581,7 +576,9 @@ mod tests {
         // Warm the caches before handing over to the controller.
         sys.cmp_mut().warm_up(30_000);
         let mut ctl = OnlineLpmController::new(HwConfig::A, 20_000, Grain::Custom(0.5)).unwrap();
-        let log = ctl.run(&mut sys, intervals);
+        let log = ctl
+            .try_run_recorded_budgeted(&mut sys, intervals, &mut NullRecorder, None)
+            .unwrap();
         (log, ctl)
     }
 
@@ -599,7 +596,7 @@ mod tests {
         let (mut sys, mut ctl) = mk();
         let cap = sys.now() + 1_000;
         let err = ctl
-            .try_run_recorded_budgeted(&mut sys, 4, &mut lpm_telemetry::NullRecorder, Some(cap))
+            .try_run_recorded_budgeted(&mut sys, 4, &mut NullRecorder, Some(cap))
             .unwrap_err();
         match err {
             LpmError::Sim(lpm_sim::SimError::CycleBudgetExceeded { budget, now }) => {
@@ -611,18 +608,18 @@ mod tests {
         // The same cap trips at the same cycle on a fresh identical run.
         let (mut sys2, mut ctl2) = mk();
         let err2 = ctl2
-            .try_run_recorded_budgeted(&mut sys2, 4, &mut lpm_telemetry::NullRecorder, Some(cap))
+            .try_run_recorded_budgeted(&mut sys2, 4, &mut NullRecorder, Some(cap))
             .unwrap_err();
         assert_eq!(format!("{err}"), format!("{err2}"));
         // An ample budget is indistinguishable from no budget.
         let (mut sys_a, mut ctl_a) = mk();
         let log_a = ctl_a
-            .try_run_recorded_budgeted(&mut sys_a, 4, &mut lpm_telemetry::NullRecorder, None)
+            .try_run_recorded_budgeted(&mut sys_a, 4, &mut NullRecorder, None)
             .unwrap();
         let (mut sys_b, mut ctl_b) = mk();
         let cap_b = sys_b.now() + 10_000_000;
         let log_b = ctl_b
-            .try_run_recorded_budgeted(&mut sys_b, 4, &mut lpm_telemetry::NullRecorder, Some(cap_b))
+            .try_run_recorded_budgeted(&mut sys_b, 4, &mut NullRecorder, Some(cap_b))
             .unwrap();
         assert_eq!(log_a, log_b);
         assert_eq!(sys_a.now(), sys_b.now());
@@ -678,6 +675,31 @@ mod tests {
     }
 
     #[test]
+    fn an_interval_past_the_end_of_the_clock_is_a_typed_error() {
+        // A wrapped `now + interval` would lie in the past: every
+        // interval would run zero cycles and be skipped as degenerate.
+        let trace = SpecWorkload::GccLike.generator().generate(20_000, 11);
+        let base = HwConfig::A.apply(&SystemConfig::default());
+        let mut sys = System::new_looping(base, trace, 100, 1);
+        sys.cmp_mut().warm_up(5_000);
+        let now = sys.now();
+        let mut ctl = OnlineLpmController::new(HwConfig::A, u64::MAX, Grain::Custom(0.5)).unwrap();
+        let err = ctl
+            .try_run_recorded_budgeted(&mut sys, 12, &mut NullRecorder, None)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            LpmError::CycleOverflow {
+                cycles: u64::MAX,
+                now
+            }
+        );
+        assert!(err.to_string().contains("overflows the simulated clock"));
+        assert_eq!(sys.now(), now, "no cycle may run");
+        assert_eq!(ctl.health().degenerate_windows, 0);
+    }
+
+    #[test]
     fn short_intervals_are_rejected_with_a_typed_error() {
         let err = OnlineLpmController::new(HwConfig::A, 10, Grain::Coarse).unwrap_err();
         assert_eq!(err, LpmError::InvalidInterval { got: 10, min: 100 });
@@ -701,7 +723,9 @@ mod tests {
         sys.cmp_mut().warm_up(30_000);
         let mut ctl =
             OnlineLpmController::new_hardened(HwConfig::A, 20_000, Grain::Custom(0.5)).unwrap();
-        let log = ctl.try_run(&mut sys, 10).unwrap();
+        let log = ctl
+            .try_run_recorded_budgeted(&mut sys, 10, &mut NullRecorder, None)
+            .unwrap();
         assert!(!log.is_empty());
         assert!(
             ctl.hw.mshrs > HwConfig::A.mshrs || ctl.hw.l1_ports > HwConfig::A.l1_ports,

@@ -165,7 +165,7 @@ fn evaluate_point_attempt(
     // Differential-test hook: force the per-cycle reference loop before
     // a single cycle (including warmup) runs. The default is the
     // event-driven fast path, whose output is bit-identical.
-    sys.set_reference_stepping(mode.reference);
+    sys.cmp_mut().set_reference_stepping(mode.reference);
     sys.cmp_mut().warm_up(spec.warmup_instructions);
     if let Some(fs) = fault_seed {
         sys.enable_faults(spec.fault_class.config(fs));

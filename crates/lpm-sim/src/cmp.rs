@@ -65,8 +65,8 @@ struct LevelReq {
 }
 
 /// How many cycles without any retirement before the simulator assumes a
-/// deadlock (a simulator bug, not a modelling outcome). [`Cmp::try_step`]
-/// reports it as [`SimError::Deadlock`]; the legacy [`Cmp::step`] panics.
+/// deadlock (a simulator bug, not a modelling outcome). [`Cmp::run`]
+/// reports it as [`SimError::Deadlock`].
 const WATCHDOG_CYCLES: u64 = 500_000;
 
 /// Shortest idle span worth batching. Below this, the per-span
@@ -74,6 +74,23 @@ const WATCHDOG_CYCLES: u64 = 500_000;
 /// per-component skip calls, horizon bounds) costs more than simply
 /// real-stepping the idle cycles, which is equally bit-identical.
 const MIN_SKIP_SPAN: u64 = 8;
+
+/// When a [`Cmp::run`] stops. Retirement targets count from the start of
+/// the call; [`Until::Cycle`] is absolute.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Until {
+    /// The clock has reached this absolute cycle (finished cores idle).
+    Cycle(u64),
+    /// Core 0 has retired this many more instructions, or every core has
+    /// finished.
+    Core0Retired(u64),
+    /// Every core has retired this many more instructions or finished
+    /// its trace.
+    AllRetired(u64),
+    /// Every core has finished; the memory system is then drained, so
+    /// the fills, evictions and writebacks of posted stores complete.
+    Finished,
+}
 
 /// The N-core chip multiprocessor. The shared side of the hierarchy is a
 /// chain of one or more levels (L2 [, L3, …]) ending at DRAM — "the
@@ -142,21 +159,13 @@ impl MemoryPort for L1Port<'_> {
 
 impl Cmp {
     /// Build a CMP. `slots[i]` configures core `i`, which executes
-    /// `traces[i]` relocated into its own address region. `l2`/`dram` are
-    /// shared. `seed` feeds replacement-policy randomness.
-    pub fn new(
-        slots: Vec<CoreSlot>,
-        l2: CacheConfig,
-        dram: DramConfig,
-        traces: Vec<Trace>,
-        seed: u64,
-    ) -> Self {
-        Self::new_looping(slots, l2, dram, traces, 1, seed)
-    }
-
-    /// Like [`Cmp::new`], but every core loops its trace `repeats` times —
-    /// the rate-mode setup of the scheduling study, where no program may
-    /// run dry while slower co-runners are still being measured.
+    /// `traces[i]` relocated into its own address region and looped
+    /// `repeats` times (the rate-mode setup of the scheduling study, where
+    /// no program may run dry while slower co-runners are still being
+    /// measured). `l2`/`dram` are shared; `seed` feeds replacement-policy
+    /// randomness. Panics on an invalid configuration; see
+    /// [`Cmp::try_new_with_hierarchy`] for the typed path. Signature
+    /// pinned by `benchmark/`.
     pub fn new_looping(
         slots: Vec<CoreSlot>,
         l2: CacheConfig,
@@ -165,40 +174,14 @@ impl Cmp {
         repeats: u32,
         seed: u64,
     ) -> Self {
-        Self::new_with_hierarchy(slots, vec![l2], dram, traces, repeats, seed)
-    }
-
-    /// Fallible variant of [`Cmp::new_looping`].
-    pub fn try_new_looping(
-        slots: Vec<CoreSlot>,
-        l2: CacheConfig,
-        dram: DramConfig,
-        traces: Vec<Trace>,
-        repeats: u32,
-        seed: u64,
-    ) -> Result<Self, SimError> {
         Self::try_new_with_hierarchy(slots, vec![l2], dram, traces, repeats, seed)
+            .unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
     }
 
     /// Fully general constructor: the shared side of the hierarchy is the
     /// chain `shared_cfgs[0] → shared_cfgs[1] → … → DRAM` (e.g. an L2
-    /// followed by an L3). Panics on an invalid configuration; see
-    /// [`Cmp::try_new_with_hierarchy`] for the fallible variant.
-    pub fn new_with_hierarchy(
-        slots: Vec<CoreSlot>,
-        shared_cfgs: Vec<CacheConfig>,
-        dram: DramConfig,
-        traces: Vec<Trace>,
-        repeats: u32,
-        seed: u64,
-    ) -> Self {
-        Self::try_new_with_hierarchy(slots, shared_cfgs, dram, traces, repeats, seed)
-            .unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Like [`Cmp::new_with_hierarchy`], but structural configuration
-    /// problems come back as [`SimError::InvalidConfig`] instead of
-    /// panicking.
+    /// followed by an L3). Structural configuration problems come back
+    /// as [`SimError::InvalidConfig`].
     pub fn try_new_with_hierarchy(
         slots: Vec<CoreSlot>,
         shared_cfgs: Vec<CacheConfig>,
@@ -436,7 +419,7 @@ impl Cmp {
     /// Runtime reconfiguration of core `i`'s out-of-order structures
     /// (reconfigurable-architecture support; see case study I). The paper
     /// charges four cycles per reconfiguration operation — callers model
-    /// that by spending [`Cmp::run_for`] cycles at the decision point.
+    /// that by running four more cycles at the decision point.
     pub fn reconfigure_core(&mut self, i: usize, cfg: CoreConfig) {
         self.cores[i].reconfigure(cfg);
     }
@@ -452,7 +435,7 @@ impl Cmp {
     }
 
     /// A full report for core `i`; `cpi_exe` comes from a perfect-cache
-    /// run of the same trace (see [`crate::System::measure_cpi_exe`]).
+    /// run of the same trace (see [`crate::System::cpi_exe`]).
     pub fn report_for(&self, i: usize, cpi_exe: f64) -> SystemReport {
         let mut r = SystemReport {
             core: *self.cores[i].stats(),
@@ -502,77 +485,114 @@ impl Cmp {
 
     /// Run until core 0 has retired `instructions` more instructions (or
     /// every core finishes), then reset measurement windows. Returns the
-    /// warmup cycle count.
+    /// warmup cycle count. Panics if the deadlock watchdog fires.
+    /// Signature pinned by `benchmark/`.
     pub fn warm_up(&mut self, instructions: u64) -> u64 {
-        self.try_warm_up(instructions)
-            .unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Fallible variant of [`Cmp::warm_up`].
-    pub fn try_warm_up(&mut self, instructions: u64) -> Result<u64, SimError> {
-        let target = self.cores[0].retired() + instructions;
-        while self.cores[0].retired() < target && !self.all_finished() {
-            // No explicit cap: the watchdog horizon bounds every span
-            // while any core is unfinished (the loop guard guarantees).
-            self.advance_with(&mut NullRecorder, u64::MAX)?;
-        }
-        let warmup_cycles = self.now;
-        self.reset_measurement();
-        Ok(warmup_cycles)
+        self.warm_up_until(Until::Core0Retired(instructions))
     }
 
     /// Run until **every** core has retired `instructions` more
     /// instructions (or finished its trace), then reset measurement
     /// windows — the multiprogrammed warmup used by the scheduling study,
     /// where cores progress at very different rates. Returns the warmup
-    /// cycle count.
+    /// cycle count. Panics if the deadlock watchdog fires. Signature
+    /// pinned by `benchmark/`.
     pub fn warm_up_all(&mut self, instructions: u64) -> u64 {
-        self.try_warm_up_all(instructions)
-            .unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
+        self.warm_up_until(Until::AllRetired(instructions))
     }
 
-    /// Fallible variant of [`Cmp::warm_up_all`].
-    pub fn try_warm_up_all(&mut self, instructions: u64) -> Result<u64, SimError> {
-        let targets: Vec<u64> = self
-            .cores
-            .iter()
-            .map(|c| c.retired() + instructions)
-            .collect();
-        loop {
-            let behind = self
+    /// The shared body of the two warmups: an uncapped [`Cmp::run`],
+    /// then a measurement reset.
+    fn warm_up_until(&mut self, until: Until) -> u64 {
+        self.run(until, u64::MAX, &mut NullRecorder)
+            .unwrap_or_else(|e| panic!("{e}")); // lpm-lint: allow(P001) documented panicking wrapper; Cmp::run is the typed path
+        self.reset_measurement();
+        self.now
+    }
+
+    /// Run until every core has retired `instructions` more instructions
+    /// (or finished), never stepping past the absolute cycle `cap`.
+    /// Returns whether all reached their target — the fixed-work-per-core
+    /// measurement window of the scheduling study. Panics if the deadlock
+    /// watchdog fires. Signature pinned by `benchmark/`.
+    pub fn run_until_all_retired(&mut self, instructions: u64, cap: u64) -> bool {
+        self.run(Until::AllRetired(instructions), cap, &mut NullRecorder)
+            .unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; Cmp::run is the typed path
+    }
+
+    /// Advance the simulation until `until` holds, never stepping past
+    /// the absolute cycle `cap` — the one run loop every caller and both
+    /// stepping modes go through. Returns `Ok(true)` once `until` holds
+    /// and `Ok(false)` when the clock reaches `cap` first; `until` is
+    /// checked before `cap`, so a target met exactly at the cap counts as
+    /// met. Idle spans are capped at `min(cap, target cycle)`, so the
+    /// event-driven fast path stops at exactly the cycle the per-cycle
+    /// reference loop does.
+    ///
+    /// `rec` receives per-cycle occupancy samples (MSHRs, ROB, DRAM
+    /// banks) and fault-onset events carrying the injector's seed. With
+    /// [`NullRecorder`] every instrumentation block is guarded by the
+    /// constant `R::ENABLED` and monomorphizes away, leaving the run
+    /// bit-for-bit identical to the uninstrumented simulator.
+    ///
+    /// Fails with [`SimError::Deadlock`] if no core retires an
+    /// instruction for longer than the watchdog horizon.
+    pub fn run<R: Recorder>(
+        &mut self,
+        until: Until,
+        cap: u64,
+        rec: &mut R,
+    ) -> Result<bool, SimError> {
+        // Retirement targets count from the start of this call.
+        let targets: Vec<u64> = match until {
+            Until::Core0Retired(n) => vec![self.cores[0].retired().saturating_add(n)],
+            Until::AllRetired(n) => self
+                .cores
+                .iter()
+                .map(|c| c.retired().saturating_add(n))
+                .collect(),
+            Until::Cycle(_) | Until::Finished => Vec::new(),
+        };
+        let limit = match until {
+            Until::Cycle(end) => end.min(cap),
+            _ => cap,
+        };
+        // Everything `holds` observes (the clock aside) changes only at
+        // real steps, so checking it per fast-path quantum is equivalent
+        // to checking it per cycle.
+        let holds = |cmp: &Cmp| match until {
+            Until::Cycle(end) => cmp.now >= end,
+            Until::Core0Retired(_) => cmp.cores[0].retired() >= targets[0] || cmp.all_finished(),
+            Until::AllRetired(_) => cmp
                 .cores
                 .iter()
                 .zip(&targets)
-                .any(|(c, &t)| !c.finished() && c.retired() < t);
-            if !behind {
-                break;
+                .all(|(c, &t)| c.finished() || c.retired() >= t),
+            Until::Finished => cmp.all_finished(),
+        };
+        while !holds(self) {
+            if self.now >= cap {
+                return Ok(false);
             }
-            self.advance_with(&mut NullRecorder, u64::MAX)?;
+            self.advance_with(rec, limit)?;
         }
-        let warmup_cycles = self.now;
-        self.reset_measurement();
-        Ok(warmup_cycles)
+        if until == Until::Finished {
+            // Bounded drain: posted stores may still be in flight when
+            // the last instruction retires; their fills, evictions and
+            // writebacks resolve within a DRAM round trip plus queueing.
+            // The fast path leaps the dead cycles between DRAM events.
+            let drain_budget = self.now + 1_000_000;
+            while self.now < drain_budget && !self.memory_idle() {
+                self.advance_with(rec, drain_budget)?;
+            }
+        }
+        Ok(true)
     }
 
-    /// Advance one cycle, panicking if the deadlock watchdog fires. See
-    /// [`Cmp::try_step`] for the fallible variant.
-    pub fn step(&mut self) {
-        self.try_step().unwrap_or_else(|e| panic!("{e}")); // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Advance one cycle. Returns [`SimError::Deadlock`] if no core has
+    /// Advance one cycle, emitting into a telemetry recorder (see
+    /// [`Cmp::run`]). Returns [`SimError::Deadlock`] if no core has
     /// retired an instruction for longer than the watchdog horizon.
-    pub fn try_step(&mut self) -> Result<(), SimError> {
-        self.try_step_with(&mut NullRecorder)
-    }
-
-    /// Advance one cycle, emitting into a telemetry recorder: per-cycle
-    /// occupancy samples (MSHRs, ROB, DRAM banks) and fault-onset events
-    /// carrying the injector's seed. With [`NullRecorder`] every
-    /// instrumentation block is guarded by the constant `R::ENABLED` and
-    /// monomorphizes away, leaving [`Cmp::try_step`] bit-for-bit
-    /// identical to the uninstrumented simulator.
-    pub fn try_step_with<R: Recorder>(&mut self, rec: &mut R) -> Result<(), SimError> {
+    fn try_step_with<R: Recorder>(&mut self, rec: &mut R) -> Result<(), SimError> {
         let now = self.now;
 
         // 0. Fault injection: decide what misbehaves this cycle and push
@@ -1082,119 +1102,6 @@ impl Cmp {
         }
         self.now += k;
     }
-
-    /// Run until every core finishes or `max_cycles` elapse, then drain
-    /// the memory system (posted stores may still be in flight when the
-    /// last instruction retires; their fills, evictions and writebacks
-    /// complete during the drain). Returns whether all cores finished.
-    pub fn run(&mut self, max_cycles: u64) -> bool {
-        self.try_run(max_cycles).unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Fallible variant of [`Cmp::run`].
-    pub fn try_run(&mut self, max_cycles: u64) -> Result<bool, SimError> {
-        while self.now < max_cycles {
-            if self.all_finished() {
-                break;
-            }
-            self.advance_with(&mut NullRecorder, max_cycles)?;
-        }
-        if !self.all_finished() {
-            return Ok(false);
-        }
-        // Bounded drain: every in-flight access resolves within a DRAM
-        // round trip plus queueing. The fast path leaps the dead cycles
-        // between DRAM events instead of ticking them one by one.
-        let drain_budget = self.now + 1_000_000;
-        while self.now < drain_budget && !self.memory_idle() {
-            self.advance_with(&mut NullRecorder, drain_budget)?;
-        }
-        Ok(true)
-    }
-
-    /// Run exactly `cycles` more cycles (finished cores idle).
-    pub fn run_for(&mut self, cycles: u64) {
-        self.try_run_for(cycles).unwrap_or_else(|e| panic!("{e}")); // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Fallible variant of [`Cmp::run_for`].
-    pub fn try_run_for(&mut self, cycles: u64) -> Result<(), SimError> {
-        self.try_run_for_with(cycles, &mut NullRecorder)
-    }
-
-    /// Recorder-aware variant of [`Cmp::try_run_for`].
-    pub fn try_run_for_with<R: Recorder>(
-        &mut self,
-        cycles: u64,
-        rec: &mut R,
-    ) -> Result<(), SimError> {
-        let end = self.now + cycles;
-        while self.now < end {
-            self.advance_with(rec, end)?;
-        }
-        Ok(())
-    }
-
-    /// Budgeted variant of [`Cmp::try_run_for_with`]: run `cycles` more
-    /// cycles, but refuse to step past the absolute simulated-cycle cap
-    /// `budget`. The cap is checked before every step, so the error fires
-    /// at exactly the same simulated cycle regardless of how the caller
-    /// chunks its runs — the deterministic half of the sweep harness's
-    /// per-point watchdog.
-    pub fn try_run_for_with_budget<R: Recorder>(
-        &mut self,
-        cycles: u64,
-        rec: &mut R,
-        budget: u64,
-    ) -> Result<(), SimError> {
-        let end = self.now + cycles;
-        while self.now < end {
-            if self.now >= budget {
-                return Err(SimError::CycleBudgetExceeded {
-                    budget,
-                    now: self.now,
-                });
-            }
-            // Idle spans are capped at the budget too, so the error
-            // fires at the same simulated cycle as the reference loop.
-            self.advance_with(rec, end.min(budget))?;
-        }
-        Ok(())
-    }
-
-    /// Run until every core has retired `instructions` more instructions
-    /// (or finished), within `max_cycles`. Returns whether all reached
-    /// their target. The fixed-work-per-core measurement window of the
-    /// scheduling study.
-    pub fn run_until_all_retired(&mut self, instructions: u64, max_cycles: u64) -> bool {
-        self.try_run_until_all_retired(instructions, max_cycles)
-            .unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Fallible variant of [`Cmp::run_until_all_retired`].
-    pub fn try_run_until_all_retired(
-        &mut self,
-        instructions: u64,
-        max_cycles: u64,
-    ) -> Result<bool, SimError> {
-        let targets: Vec<u64> = self
-            .cores
-            .iter()
-            .map(|c| c.retired() + instructions)
-            .collect();
-        while self.now < max_cycles {
-            let behind = self
-                .cores
-                .iter()
-                .zip(&targets)
-                .any(|(c, &t)| !c.finished() && c.retired() < t);
-            if !behind {
-                return Ok(true);
-            }
-            self.advance_with(&mut NullRecorder, max_cycles)?;
-        }
-        Ok(false)
-    }
 }
 
 #[cfg(test)]
@@ -1209,6 +1116,22 @@ mod tests {
             core: CoreConfig::small(),
             l1,
         }
+    }
+
+    fn build(slots: Vec<CoreSlot>, traces: Vec<Trace>) -> Cmp {
+        Cmp::new_looping(
+            slots,
+            CacheConfig::l2_default(),
+            DramConfig::ddr3_default(),
+            traces,
+            1,
+            7,
+        )
+    }
+
+    /// Run every core to completion, then drain, within the absolute `cap`.
+    pub(super) fn finish(cmp: &mut Cmp, cap: u64) -> bool {
+        cmp.run(Until::Finished, cap, &mut NullRecorder).unwrap()
     }
 
     fn tiny_trace(n: usize) -> Trace {
@@ -1226,14 +1149,8 @@ mod tests {
 
     #[test]
     fn single_core_completes_and_counters_are_consistent() {
-        let mut cmp = Cmp::new(
-            vec![slot(32)],
-            CacheConfig::l2_default(),
-            DramConfig::ddr3_default(),
-            vec![tiny_trace(3000)],
-            7,
-        );
-        assert!(cmp.run(1_000_000), "did not finish");
+        let mut cmp = build(vec![slot(32)], vec![tiny_trace(3000)]);
+        assert!(finish(&mut cmp, 1_000_000), "did not finish");
         assert_eq!(cmp.core_stats(0).retired, 3000);
         let l1 = cmp.l1_counters(0);
         l1.validate().unwrap();
@@ -1250,14 +1167,8 @@ mod tests {
         // Stream far beyond L1 and L2 capacity.
         let gen = lpm_trace::gen::StrideGen::new(4, 64, 8 << 20, 0.5);
         let trace = gen.generate(20_000, 3);
-        let mut cmp = Cmp::new(
-            vec![slot(4)],
-            CacheConfig::l2_default(),
-            DramConfig::ddr3_default(),
-            vec![trace],
-            7,
-        );
-        assert!(cmp.run(5_000_000));
+        let mut cmp = build(vec![slot(4)], vec![trace]);
+        assert!(finish(&mut cmp, 5_000_000));
         let l1 = cmp.l1_counters(0);
         assert!(l1.mr() > 0.1, "stream must miss L1: MR1 {}", l1.mr());
         assert!(cmp.dram_analyzer().accesses > 100, "misses must reach DRAM");
@@ -1269,14 +1180,8 @@ mod tests {
     #[test]
     fn two_cores_have_disjoint_footprints() {
         let traces = vec![tiny_trace(2000), tiny_trace(2000)];
-        let mut cmp = Cmp::new(
-            vec![slot(32), slot(32)],
-            CacheConfig::l2_default(),
-            DramConfig::ddr3_default(),
-            traces,
-            7,
-        );
-        assert!(cmp.run(1_000_000));
+        let mut cmp = build(vec![slot(32), slot(32)], traces);
+        assert!(finish(&mut cmp, 1_000_000));
         // Identical traces, but relocated: both cores behave alike and
         // the L2 saw roughly twice the lines of a single run.
         assert_eq!(cmp.core_stats(0).retired, 2000);
@@ -1292,14 +1197,8 @@ mod tests {
         let gen = lpm_trace::gen::RandomGen::new(32 << 10, 0.5, 0.2);
         let t = gen.generate(30_000, 5);
         let run_with = |kib: u64| {
-            let mut cmp = Cmp::new(
-                vec![slot(kib)],
-                CacheConfig::l2_default(),
-                DramConfig::ddr3_default(),
-                vec![t.clone()],
-                7,
-            );
-            assert!(cmp.run(20_000_000));
+            let mut cmp = build(vec![slot(kib)], vec![t.clone()]);
+            assert!(finish(&mut cmp, 20_000_000));
             cmp.l1_counters(0).mr()
         };
         let small = run_with(4);
@@ -1318,14 +1217,8 @@ mod tests {
             let mut l1 = CacheConfig::l1_default();
             l1.mshrs = mshrs;
             l1.ports = ports;
-            let mut cmp = Cmp::new(
-                vec![CoreSlot { core, l1 }],
-                CacheConfig::l2_default(),
-                DramConfig::ddr3_default(),
-                vec![t.clone()],
-                7,
-            );
-            assert!(cmp.run(20_000_000));
+            let mut cmp = build(vec![CoreSlot { core, l1 }], vec![t.clone()]);
+            assert!(finish(&mut cmp, 20_000_000));
             cmp.core_stats(0).ipc()
         };
         let weak = run_with(CoreConfig::small(), 2, 1);
@@ -1338,39 +1231,48 @@ mod tests {
 
     #[test]
     fn run_for_advances_exactly() {
-        let mut cmp = Cmp::new(
-            vec![slot(32)],
-            CacheConfig::l2_default(),
-            DramConfig::ddr3_default(),
-            vec![tiny_trace(100_000)],
-            7,
-        );
-        cmp.run_for(500);
+        let mut cmp = build(vec![slot(32)], vec![tiny_trace(100_000)]);
+        assert!(cmp
+            .run(Until::Cycle(500), u64::MAX, &mut NullRecorder)
+            .unwrap());
         assert_eq!(cmp.now(), 500);
+    }
+
+    #[test]
+    fn run_checks_the_target_before_the_cap() {
+        let mut cmp = build(vec![slot(32)], vec![tiny_trace(100_000)]);
+        // A target met exactly at the cap counts as met ...
+        assert!(cmp.run(Until::Cycle(500), 500, &mut NullRecorder).unwrap());
+        assert_eq!(cmp.now(), 500);
+        // ... one beyond it stops at the cap, without stepping past it.
+        assert!(!cmp
+            .run(Until::Cycle(1_000), 700, &mut NullRecorder)
+            .unwrap());
+        assert_eq!(cmp.now(), 700);
+        // A clock already at the cap does not move.
+        assert!(!cmp
+            .run(Until::AllRetired(1), 700, &mut NullRecorder)
+            .unwrap());
+        assert_eq!(cmp.now(), 700);
     }
 
     #[test]
     fn event_driven_run_and_drain_match_reference_cycle_for_cycle() {
         // Store-heavy stream far past cache capacity: writebacks and
         // fills are still in flight when the last instruction retires,
-        // so `try_run`'s drain phase does real work. The drain used to
+        // so `Until::Finished`'s drain phase does real work. The drain used to
         // tick `memory_idle()` cycle-by-cycle; it now leaps between
         // events — the cycle count at which the memory system quiesces
         // must not move.
-        let build = || {
-            Cmp::new(
-                vec![slot(4)],
-                CacheConfig::l2_default(),
-                DramConfig::ddr3_default(),
-                vec![lpm_trace::gen::StrideGen::new(4, 64, 8 << 20, 0.5).generate(20_000, 3)],
-                7,
-            )
+        let stream = || {
+            let trace = lpm_trace::gen::StrideGen::new(4, 64, 8 << 20, 0.5).generate(20_000, 3);
+            build(vec![slot(4)], vec![trace])
         };
-        let mut fast = build();
-        let mut reference = build();
+        let mut fast = stream();
+        let mut reference = stream();
         reference.set_reference_stepping(true);
-        assert!(fast.run(5_000_000));
-        assert!(reference.run(5_000_000));
+        assert!(finish(&mut fast, 5_000_000));
+        assert!(finish(&mut reference, 5_000_000));
         assert_eq!(
             fast.now(),
             reference.now(),
@@ -1389,18 +1291,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "one trace per core")]
     fn trace_count_mismatch_rejected() {
-        let _ = Cmp::new(
-            vec![slot(32), slot(32)],
-            CacheConfig::l2_default(),
-            DramConfig::ddr3_default(),
-            vec![tiny_trace(10)],
-            7,
-        );
+        let _ = build(vec![slot(32), slot(32)], vec![tiny_trace(10)]);
     }
 }
 
 #[cfg(test)]
 mod l3_tests {
+    use super::tests::finish;
     use super::*;
     use lpm_trace::{Generator, Instr};
 
@@ -1426,16 +1323,17 @@ mod l3_tests {
         // in steady state the L3 absorbs what the L2 cannot.
         let gen = lpm_trace::gen::StrideGen::new(4, 8, 1 << 20, 0.5);
         let trace = gen.generate(30_000, 3);
-        let mut cmp = Cmp::new_with_hierarchy(
+        let mut cmp = Cmp::try_new_with_hierarchy(
             vec![slot()],
             vec![CacheConfig::l2_default(), l3_cfg()],
             DramConfig::ddr3_default(),
             vec![trace],
             1,
             7,
-        );
+        )
+        .unwrap();
         assert_eq!(cmp.num_shared_levels(), 2);
-        assert!(cmp.run(80_000_000), "did not finish");
+        assert!(finish(&mut cmp, 80_000_000), "did not finish");
         let l1 = cmp.l1_counters(0);
         let l2 = cmp.l2_counters();
         let l3 = cmp.l3_counters().expect("L3 configured");
@@ -1453,15 +1351,16 @@ mod l3_tests {
     fn l3_report_exposes_four_boundaries() {
         let gen = lpm_trace::gen::StrideGen::new(4, 64, 1 << 20, 0.5);
         let trace = gen.generate(20_000, 3);
-        let mut cmp = Cmp::new_with_hierarchy(
+        let mut cmp = Cmp::try_new_with_hierarchy(
             vec![slot()],
             vec![CacheConfig::l2_default(), l3_cfg()],
             DramConfig::ddr3_default(),
             vec![trace],
             1,
             7,
-        );
-        assert!(cmp.run(80_000_000));
+        )
+        .unwrap();
+        assert!(finish(&mut cmp, 80_000_000));
         let report = cmp.report_for(0, 0.3);
         assert!(report.l3.is_some());
         let lpmrs = report.lpmrs().unwrap();
@@ -1475,14 +1374,15 @@ mod l3_tests {
         // One cold load through each depth; measure completion latency.
         let latency_of = |shared: Vec<CacheConfig>, warm: &[u64], probe: u64| -> u64 {
             let trace: Trace = std::iter::once(Instr::load(probe)).collect();
-            let mut cmp = Cmp::new_with_hierarchy(
+            let mut cmp = Cmp::try_new_with_hierarchy(
                 vec![slot()],
                 shared,
                 DramConfig::ddr3_default(),
                 vec![trace],
                 1,
                 7,
-            );
+            )
+            .unwrap();
             // Pre-warm chosen levels functionally via fills.
             for &line in warm {
                 // fill deepest-first so upper levels get it too if listed
@@ -1492,7 +1392,7 @@ mod l3_tests {
                 // apply fills
                 cmp.shared[0].step(u64::MAX - 1);
             }
-            assert!(cmp.run(1_000_000));
+            assert!(finish(&mut cmp, 1_000_000));
             cmp.finished_at(0).unwrap()
         };
         let l2_cfg = CacheConfig::l2_default();
@@ -1508,6 +1408,7 @@ mod l3_tests {
 
 #[cfg(test)]
 mod mlp_partition_tests {
+    use super::tests::finish;
     use super::*;
     use lpm_trace::Generator;
 
@@ -1546,7 +1447,8 @@ mod mlp_partition_tests {
     fn partition_protects_the_latency_sensitive_core() {
         let victim_progress = |quota: Option<u32>| -> u64 {
             let mut cmp = build(quota, 100);
-            cmp.run_for(400_000);
+            cmp.run(Until::Cycle(400_000), u64::MAX, &mut NullRecorder)
+                .unwrap();
             cmp.retired(1)
         };
         let free = victim_progress(None);
@@ -1560,8 +1462,9 @@ mod mlp_partition_tests {
     #[test]
     fn quota_bounds_are_respected_and_balanced() {
         let mut cmp = build(Some(2), 100);
-        for _ in 0..100_000 {
-            cmp.step();
+        for now in 1..=100_000 {
+            cmp.run(Until::Cycle(now), u64::MAX, &mut NullRecorder)
+                .unwrap();
             assert!(
                 cmp.l2_outstanding.iter().all(|&o| o <= 2),
                 "quota violated: {:?}",
@@ -1571,7 +1474,7 @@ mod mlp_partition_tests {
         // Quiesce: with traces that end, run to completion and drain the
         // memory system; every quota slot taken must have been returned.
         let mut cmp = build(Some(2), 1);
-        assert!(cmp.run(10_000_000), "cores did not finish");
+        assert!(finish(&mut cmp, 10_000_000), "cores did not finish");
         assert!(cmp.memory_idle(), "memory system did not drain");
         assert_eq!(cmp.l2_outstanding, [0, 0]);
     }

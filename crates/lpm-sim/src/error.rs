@@ -4,9 +4,11 @@
 //! unit tests, hostile to embedders (the CLI, the online controller, the
 //! fault-injection harness) that need to distinguish "the configuration
 //! is wrong" from "the simulated machine wedged" and keep going or report
-//! a diagnostic. [`SimError`] is the crate's error currency; the legacy
-//! panicking entry points (`Cmp::new*`, `Cmp::step`, `Cmp::run*`) are
-//! thin wrappers over the `try_*` variants that produce these values.
+//! a diagnostic. [`SimError`] is the crate's error currency: `Cmp::run`
+//! and the `try_*` constructors return it. The few panicking entry
+//! points left (`Cmp::new_looping`, `Cmp::warm_up*`,
+//! `Cmp::run_until_all_retired`, `System::new_looping`) are thin
+//! wrappers over those.
 
 use std::fmt;
 
@@ -88,7 +90,7 @@ mod tests {
 
     #[test]
     fn display_keeps_legacy_watchdog_prefix() {
-        // The panicking `Cmp::step` wrapper formats this error; the text
+        // The panicking warmup wrappers format this error; the text
         // must keep the historical prefix that downstream tooling greps.
         let e = SimError::Deadlock {
             since: 10,

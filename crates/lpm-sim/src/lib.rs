@@ -10,39 +10,43 @@
 //!   parameters (the design space of Table I).
 //! * [`cmp`] — the [`cmp::Cmp`] N-core chip multiprocessor with private
 //!   L1s, a shared banked L2 (the NUCA substrate of case study II) and
-//!   shared DRAM.
+//!   shared DRAM, advanced by its one run loop [`cmp::Cmp::run`].
 //! * [`system`] — a single-core convenience wrapper used for profiling and
 //!   the Table I design-space exploration.
 //! * [`report`] — measurement reports: per-layer C-AMAT parameters,
 //!   LPMR1/2/3, stall time, APC values.
-//! * [`error`] — the [`SimError`] type returned by the fallible (`try_*`)
-//!   entry points (deadlock watchdog, configuration validation).
+//! * [`error`] — the [`SimError`] type returned by the fallible entry
+//!   points (deadlock watchdog, configuration validation).
 //! * [`fault`] — deterministic, seeded fault injection (DRAM latency
 //!   spikes, refresh storms, cache-bank stalls, MSHR exhaustion, counter
 //!   sensor noise) for robustness testing.
 //!
 //! # Telemetry
 //!
-//! The simulator is instrumented for `lpm-telemetry`: recorder-aware
-//! entry points ([`cmp::Cmp::try_step_with`],
-//! [`cmp::Cmp::try_run_for_with`], [`system::System::try_run_for_with`])
-//! emit per-cycle occupancy samples (MSHRs, ROB, DRAM banks) and typed
-//! fault-onset events carrying the injector seed. With the no-op
-//! `NullRecorder` the instrumentation monomorphizes away and the plain
-//! entry points are bit-for-bit identical to the uninstrumented
-//! simulator.
+//! The simulator is instrumented for `lpm-telemetry`: the recorder
+//! passed to [`cmp::Cmp::run`] (reached from a [`System`] through
+//! [`System::cmp_mut`]) receives per-cycle occupancy samples (MSHRs,
+//! ROB, DRAM banks) and typed fault-onset events carrying the injector
+//! seed. With the no-op `NullRecorder` the instrumentation
+//! monomorphizes away and the run is bit-for-bit identical to the
+//! uninstrumented simulator.
 //!
 //! # Example
 //!
 //! ```
-//! use lpm_sim::{System, SystemConfig};
+//! use lpm_sim::{System, SystemConfig, Until};
+//! use lpm_telemetry::NullRecorder;
 //! use lpm_trace::{Generator, SpecWorkload};
 //!
 //! let trace = SpecWorkload::Bzip2Like.generator().generate(20_000, 1);
-//! let mut sys = System::new(SystemConfig::default(), trace, 1);
-//! sys.run(2_000_000);
+//! let mut sys = System::new_looping(SystemConfig::default(), trace, 1, 1);
+//! sys.cmp_mut().warm_up(10_000);
+//! // Run to the end of the trace, but never past absolute cycle 2M.
+//! let drained = sys.cmp_mut().run(Until::Finished, 2_000_000, &mut NullRecorder)?;
+//! assert!(drained);
 //! let report = sys.report();
 //! assert!(report.l1.mr() < 0.2, "bzip2-like fits a 32 KiB L1");
+//! # Ok::<(), lpm_sim::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,7 +61,7 @@ pub mod report;
 pub mod system;
 
 pub use analyzer::{CacheAnalyzer, DramAnalyzer};
-pub use cmp::{Cmp, CoreSlot};
+pub use cmp::{Cmp, CoreSlot, Until};
 pub use config::SystemConfig;
 pub use error::SimError;
 pub use fault::{

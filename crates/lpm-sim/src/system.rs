@@ -20,27 +20,19 @@ pub struct System {
 impl System {
     /// Build the system and measure `CPIexe` by running `trace` against a
     /// perfect cache with the L1's hit latency (the paper's "perfect
-    /// cache, no miss occurs" definition).
-    pub fn new(cfg: SystemConfig, trace: Trace, seed: u64) -> Self {
-        Self::new_looping(cfg, trace, 1, seed)
-    }
-
-    /// Like [`System::new`], but the core loops the trace `repeats` times
-    /// (rate-mode). Combine with [`System::measure_steady`] for fully
-    /// warmed steady-state measurements.
+    /// cache, no miss occurs" definition). The core loops the trace
+    /// `repeats` times (`1` runs it once; more is rate mode, which
+    /// [`System::measure_steady`] needs for fully warmed steady-state
+    /// measurements). Panics on an invalid configuration; see
+    /// [`System::try_new_looping`] for the typed path.
     pub fn new_looping(cfg: SystemConfig, trace: Trace, repeats: u32, seed: u64) -> Self {
         // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
         Self::try_new_looping(cfg, trace, repeats, seed).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible variant of [`System::new`].
-    pub fn try_new(cfg: SystemConfig, trace: Trace, seed: u64) -> Result<Self, SimError> {
-        Self::try_new_looping(cfg, trace, 1, seed)
-    }
-
     /// Fallible variant of [`System::new_looping`]: configuration and
     /// calibration problems come back as [`SimError`] instead of
-    /// panicking.
+    /// panicking. Signature pinned by `benchmark/`.
     pub fn try_new_looping(
         cfg: SystemConfig,
         trace: Trace,
@@ -77,12 +69,7 @@ impl System {
     }
 
     /// `CPIexe` of `trace` on `cfg`'s core with a perfect cache.
-    pub fn measure_cpi_exe(cfg: &SystemConfig, trace: &Trace) -> f64 {
-        Self::try_measure_cpi_exe(cfg, trace).unwrap_or_else(|e| panic!("{e}")) // lpm-lint: allow(P001) documented panicking wrapper; fallible try_ variant is the typed path
-    }
-
-    /// Fallible variant of [`System::measure_cpi_exe`].
-    pub fn try_measure_cpi_exe(cfg: &SystemConfig, trace: &Trace) -> Result<f64, SimError> {
+    fn try_measure_cpi_exe(cfg: &SystemConfig, trace: &Trace) -> Result<f64, SimError> {
         let mut core = Core::new(cfg.core, trace.clone());
         let mut mem = PerfectMemory::new(cfg.l1.hit_latency);
         let mut now = 0u64;
@@ -109,72 +96,19 @@ impl System {
         self.cpi_exe
     }
 
-    /// Run until the trace drains or `max_cycles` elapse; returns whether
-    /// it drained.
-    pub fn run(&mut self, max_cycles: u64) -> bool {
-        self.cmp.run(max_cycles)
-    }
-
-    /// Fallible variant of [`System::run`].
-    pub fn try_run(&mut self, max_cycles: u64) -> Result<bool, SimError> {
-        self.cmp.try_run(max_cycles)
-    }
-
-    /// Run the first `instructions` as unmeasured warmup (cold-cache
-    /// exclusion), then continue measured until the trace drains or
-    /// `max_cycles` elapse.
-    pub fn run_with_warmup(&mut self, instructions: u64, max_cycles: u64) -> bool {
-        self.cmp.warm_up(instructions);
-        self.cmp.run(max_cycles)
-    }
-
-    /// Advance exactly `cycles`.
-    pub fn run_for(&mut self, cycles: u64) {
-        self.cmp.run_for(cycles);
-    }
-
-    /// Fallible variant of [`System::run_for`].
-    pub fn try_run_for(&mut self, cycles: u64) -> Result<(), SimError> {
-        self.cmp.try_run_for(cycles)
-    }
-
-    /// Recorder-aware variant of [`System::try_run_for`] (telemetry).
-    pub fn try_run_for_with<R: lpm_telemetry::Recorder>(
-        &mut self,
-        cycles: u64,
-        rec: &mut R,
-    ) -> Result<(), SimError> {
-        self.cmp.try_run_for_with(cycles, rec)
-    }
-
-    /// Budgeted variant of [`System::try_run_for_with`]: fails with
-    /// [`SimError::CycleBudgetExceeded`] instead of stepping past the
-    /// absolute simulated-cycle cap `budget`.
-    pub fn try_run_for_with_budget<R: lpm_telemetry::Recorder>(
-        &mut self,
-        cycles: u64,
-        rec: &mut R,
-        budget: u64,
-    ) -> Result<(), SimError> {
-        self.cmp.try_run_for_with_budget(cycles, rec, budget)
-    }
-
     /// Enable fault injection per `cfg` (see [`crate::fault`]).
+    /// Signature pinned by `benchmark/`.
     pub fn enable_faults(&mut self, cfg: FaultConfig) {
         self.cmp.enable_faults(cfg);
     }
 
-    /// Detach the fault injector and clear residual fault state.
-    pub fn disable_faults(&mut self) {
-        self.cmp.set_fault_injector(None);
-    }
-
-    /// Injection totals, when an injector is attached.
+    /// Injection totals, when an injector is attached. Signature pinned
+    /// by `benchmark/`.
     pub fn fault_stats(&self) -> Option<FaultStats> {
         self.cmp.fault_stats()
     }
 
-    /// Current cycle.
+    /// Current cycle. Signature pinned by `benchmark/`.
     pub fn now(&self) -> u64 {
         self.cmp.now()
     }
@@ -189,20 +123,15 @@ impl System {
         self.cmp.report_for(0, self.cpi_exe)
     }
 
-    /// Force (or lift) strict per-cycle stepping on the underlying CMP;
-    /// see [`Cmp::set_reference_stepping`]. The event-driven fast path
-    /// is the default.
-    pub fn set_reference_stepping(&mut self, on: bool) {
-        self.cmp.set_reference_stepping(on);
-    }
-
     /// Direct access to the underlying CMP (e.g. for cache stats).
+    /// Signature pinned by `benchmark/`.
     pub fn cmp(&self) -> &Cmp {
         &self.cmp
     }
 
-    /// Mutable access to the underlying CMP (runtime reconfiguration and
-    /// measurement-window control for the online LPM controller).
+    /// Mutable access to the underlying CMP: running it ([`Cmp::run`]),
+    /// runtime reconfiguration and measurement-window control for the
+    /// online LPM controller. Signature pinned by `benchmark/`.
     pub fn cmp_mut(&mut self) -> &mut Cmp {
         &mut self.cmp
     }
@@ -211,12 +140,21 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cmp::Until;
+    use lpm_telemetry::NullRecorder;
     use lpm_trace::{Generator, SpecWorkload};
+
+    /// Run the trace to completion, then drain, within the absolute `cap`.
+    fn finish(sys: &mut System, cap: u64) -> bool {
+        sys.cmp_mut()
+            .run(Until::Finished, cap, &mut NullRecorder)
+            .unwrap()
+    }
 
     #[test]
     fn cpi_exe_is_sane() {
         let trace = SpecWorkload::GamessLike.generator().generate(10_000, 1);
-        let sys = System::new(SystemConfig::default(), trace, 1);
+        let sys = System::new_looping(SystemConfig::default(), trace, 1, 1);
         let cpi = sys.cpi_exe();
         // A 4-wide core on a mixed trace: CPIexe well below 2 and above
         // the 0.25 ideal.
@@ -226,8 +164,8 @@ mod tests {
     #[test]
     fn report_exposes_consistent_measurements() {
         let trace = SpecWorkload::Bzip2Like.generator().generate(20_000, 2);
-        let mut sys = System::new(SystemConfig::default(), trace, 2);
-        assert!(sys.run(10_000_000));
+        let mut sys = System::new_looping(SystemConfig::default(), trace, 1, 2);
+        assert!(finish(&mut sys, 10_000_000));
         let r = sys.report();
         r.check(1.0).unwrap();
         // fmem close to the workload profile.
@@ -246,8 +184,8 @@ mod tests {
     #[test]
     fn memory_bound_workload_shows_mismatch() {
         let trace = SpecWorkload::McfLike.generator().generate(20_000, 3);
-        let mut sys = System::new(SystemConfig::default(), trace, 3);
-        assert!(sys.run(50_000_000));
+        let mut sys = System::new_looping(SystemConfig::default(), trace, 1, 3);
+        assert!(finish(&mut sys, 50_000_000));
         let r = sys.report();
         let lpmrs = r.lpmrs().unwrap();
         // A pointer chase over 2 MiB on a 32 KiB L1: LPMR1 well above 1.
@@ -268,14 +206,14 @@ mod tests {
         // The discriminating signal is the gap to a memory-bound workload.
         let resident = {
             let t = SpecWorkload::Bzip2Like.generator().generate(20_000, 4);
-            let mut sys = System::new(SystemConfig::default(), t, 4);
-            assert!(sys.run(10_000_000));
+            let mut sys = System::new_looping(SystemConfig::default(), t, 1, 4);
+            assert!(finish(&mut sys, 10_000_000));
             sys.report()
         };
         let bound = {
             let t = SpecWorkload::McfLike.generator().generate(20_000, 4);
-            let mut sys = System::new(SystemConfig::default(), t, 4);
-            assert!(sys.run(50_000_000));
+            let mut sys = System::new_looping(SystemConfig::default(), t, 1, 4);
+            assert!(finish(&mut sys, 50_000_000));
             sys.report()
         };
         let r1 = resident.lpmrs().unwrap().l1.value();

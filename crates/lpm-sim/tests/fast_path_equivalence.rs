@@ -14,8 +14,10 @@
 use lpm_cache::CacheConfig;
 use lpm_cpu::CoreConfig;
 use lpm_dram::DramConfig;
-use lpm_sim::{Cmp, CoreSlot, FaultConfig};
-use lpm_telemetry::{AttrSample, CycleAccum, CycleSample, Event, MetricsSnapshot, Recorder};
+use lpm_sim::{Cmp, CoreSlot, FaultConfig, SimError, Until};
+use lpm_telemetry::{
+    AttrSample, CycleAccum, CycleSample, Event, MetricsSnapshot, NullRecorder, Recorder,
+};
 use lpm_trace::{Generator, Trace};
 use proptest::prelude::*;
 
@@ -131,22 +133,52 @@ struct Side {
     dram_stats: String,
 }
 
+/// One chunk of the online controller's loop: `cycles` more cycles,
+/// never past the absolute `budget`, a trip reported as the controller
+/// reports it.
+fn budgeted_chunk<R: Recorder>(
+    cmp: &mut Cmp,
+    cycles: u64,
+    rec: &mut R,
+    budget: u64,
+) -> Result<(), SimError> {
+    if cmp.run(Until::Cycle(cmp.now() + cycles), budget, rec)? {
+        Ok(())
+    } else {
+        Err(SimError::CycleBudgetExceeded {
+            budget,
+            now: cmp.now(),
+        })
+    }
+}
+
 /// Drive one simulator through every run-loop flavour the fast path
 /// touches: warmup (measurement reset mid-run), chunked budgeted runs
-/// with a live recorder, and a run-to-completion with memory drain.
+/// with a live recorder, the Fig. 8 scheduling loops (every core warmed,
+/// then a fixed-work window under the scenario's budget), and a
+/// run-to-completion with memory drain.
 fn run_side(s: &Scenario, reference: bool) -> Side {
     let mut cmp = build(s);
     cmp.set_reference_stepping(reference);
     let mut rec = CaptureRecorder::default();
     let mut phase_results = Vec::new();
-    phase_results.push(format!("warmup: {:?}", cmp.try_warm_up(1_000)));
+    phase_results.push(format!("warmup: {}", cmp.warm_up(1_000)));
     for _ in 0..3 {
         phase_results.push(format!(
             "chunk: {:?}",
-            cmp.try_run_for_with_budget(5_000, &mut rec, s.budget)
+            budgeted_chunk(&mut cmp, 5_000, &mut rec, s.budget)
         ));
     }
-    phase_results.push(format!("run: {:?}", cmp.try_run(2_000_000)));
+    phase_results.push(format!("warm_up_all: {}", cmp.warm_up_all(500)));
+    // A window cap a tenth of the budget past the warmup: short enough
+    // that the tight budgets trip it mid-window, inside idle spans too.
+    let window_cap = cmp.now().saturating_add(s.budget / 10);
+    let done = cmp.run_until_all_retired(1_000, window_cap);
+    phase_results.push(format!("run_until_all_retired: {done} at {}", cmp.now()));
+    phase_results.push(format!(
+        "run: {:?}",
+        cmp.run(Until::Finished, 2_000_000, &mut NullRecorder)
+    ));
     Side {
         now: cmp.now(),
         phase_results,
@@ -227,14 +259,31 @@ proptest! {
 /// Deterministic anchor: a clean DRAM-streaming run (maximal skipping).
 #[test]
 fn clean_streaming_run_matches_reference() {
-    assert_sides_equal(&Scenario {
+    let s = Scenario {
         seed: 7,
         workload_ix: 0,
         n_cores: 2,
         l1_kib: 4,
         fault_ix: 0,
         budget: u64::MAX,
-    });
+    };
+    assert_sides_equal(&s);
+    // Both cores are still running when the Fig. 8 loops start, so the
+    // warmup and the fixed-work window really step a multi-core system.
+    let side = run_side(&s, false);
+    let phase = |name: &str| {
+        side.phase_results
+            .iter()
+            .find_map(|r| r.strip_prefix(name))
+            .map(str::to_owned)
+    };
+    let cycle_of = |name: &str| -> u64 { phase(name).unwrap().parse().unwrap() };
+    let chunked_to = cycle_of("warmup: ") + 3 * 5_000;
+    assert!(
+        cycle_of("warm_up_all: ") > chunked_to,
+        "warm_up_all did not step"
+    );
+    assert!(phase("run_until_all_retired: true").is_some());
 }
 
 /// Deterministic anchor: every fault class at once. Fault onsets land

@@ -5,8 +5,15 @@
 use lpm_cache::CacheConfig;
 use lpm_cpu::CoreConfig;
 use lpm_dram::DramConfig;
-use lpm_sim::{Cmp, CoreSlot, System, SystemConfig};
+use lpm_sim::{Cmp, CoreSlot, System, SystemConfig, Until};
+use lpm_telemetry::NullRecorder;
 use lpm_trace::{Generator, Instr, Trace};
+
+/// Run every core to completion, then drain, within the absolute `cap`.
+fn finish(cmp: &mut Cmp, cap: u64) -> bool {
+    cmp.run(Until::Finished, cap, &mut NullRecorder)
+        .expect("simulator error")
+}
 
 fn tiny_l1() -> CacheConfig {
     let mut l1 = CacheConfig::l1_default();
@@ -23,7 +30,7 @@ fn store_dirty_lines_are_written_back_to_l2() {
     let trace: Trace = (0..lines as u64)
         .flat_map(|i| [Instr::store(i * 64), Instr::compute()])
         .collect();
-    let mut cmp = Cmp::new(
+    let mut cmp = Cmp::new_looping(
         vec![CoreSlot {
             core: CoreConfig::small(),
             l1: tiny_l1(),
@@ -31,9 +38,10 @@ fn store_dirty_lines_are_written_back_to_l2() {
         CacheConfig::l2_default(),
         DramConfig::ddr3_default(),
         vec![trace],
+        1,
         7,
     );
-    assert!(cmp.run(10_000_000));
+    assert!(finish(&mut cmp, 10_000_000));
     let l1 = cmp.l1_stats(0);
     assert!(l1.writebacks > 0, "no L1 writebacks");
     // The L2 saw both the demand fetch-for-write traffic and the
@@ -57,7 +65,7 @@ fn l2_evictions_reach_dram_as_writes() {
     let mut l1 = tiny_l1();
     l1.mshrs = 16;
     l1.ports = 4;
-    let mut cmp = Cmp::new(
+    let mut cmp = Cmp::new_looping(
         vec![CoreSlot {
             core: CoreConfig::big(),
             l1,
@@ -65,9 +73,10 @@ fn l2_evictions_reach_dram_as_writes() {
         CacheConfig::l2_default(),
         DramConfig::ddr3_default(),
         vec![trace],
+        1,
         7,
     );
-    assert!(cmp.run(100_000_000));
+    assert!(finish(&mut cmp, 100_000_000));
     let d = cmp.dram_stats();
     assert!(d.writes > 0, "no DRAM writes observed");
     assert!(d.reads > 0, "write-allocate fetches must read");
@@ -80,15 +89,16 @@ fn rewritten_lines_round_trip_without_losing_completions() {
     let n = 30_000;
     let gen = lpm_trace::gen::StrideGen::new(2, 64, 16 << 10, 0.6).with_stores(0.5);
     let trace = gen.generate(n, 3);
-    let mut sys = System::new(
+    let mut sys = System::new_looping(
         SystemConfig {
             l1: tiny_l1(),
             ..SystemConfig::default()
         },
         trace,
+        1,
         3,
     );
-    assert!(sys.run(100_000_000), "did not drain");
+    assert!(finish(sys.cmp_mut(), 100_000_000), "did not drain");
     assert_eq!(sys.report().core.retired, n as u64);
 }
 
@@ -99,7 +109,7 @@ fn writeback_traffic_is_counted_at_l2_but_has_no_core_consumer() {
     let lines = 4 * (4 << 10) / 64;
     let trace: Trace = (0..lines as u64).map(|i| Instr::store(i * 64)).collect();
     let n = trace.len() as u64;
-    let mut cmp = Cmp::new(
+    let mut cmp = Cmp::new_looping(
         vec![CoreSlot {
             core: CoreConfig::small(),
             l1: tiny_l1(),
@@ -107,9 +117,10 @@ fn writeback_traffic_is_counted_at_l2_but_has_no_core_consumer() {
         CacheConfig::l2_default(),
         DramConfig::ddr3_default(),
         vec![trace],
+        1,
         7,
     );
-    assert!(cmp.run(50_000_000));
+    assert!(finish(&mut cmp, 50_000_000));
     assert_eq!(cmp.core_stats(0).retired, n);
     assert_eq!(cmp.core_stats(0).mem_issued, n);
     assert!(cmp.l1_stats(0).writebacks > 0);
@@ -137,8 +148,8 @@ fn system_level_prefetch_accelerates_dependent_walk() {
     let run_with = |prefetch| {
         let mut cfg = SystemConfig::default();
         cfg.l1.prefetch = prefetch;
-        let mut sys = System::new(cfg, trace.clone(), 1);
-        assert!(sys.run(100_000_000));
+        let mut sys = System::new_looping(cfg, trace.clone(), 1, 1);
+        assert!(finish(sys.cmp_mut(), 100_000_000));
         (sys.now(), sys.cmp().l1_stats(0).useful_prefetches)
     };
     let (t_none, up_none) = run_with(lpm_cache::PrefetchKind::None);

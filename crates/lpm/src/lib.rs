@@ -28,11 +28,15 @@
 //!
 //! // Simulate a workload and read off its layered matching state.
 //! let trace = SpecWorkload::GccLike.generator().generate(20_000, 42);
-//! let mut sys = System::new(SystemConfig::default(), trace, 42);
-//! sys.run_with_warmup(10_000, 50_000_000);
+//! let mut sys = System::new_looping(SystemConfig::default(), trace, 1, 42);
+//! // The first half is cache warmup; then run the trace out, never past
+//! // absolute cycle 50M.
+//! sys.cmp_mut().warm_up(10_000);
+//! assert!(sys.cmp_mut().run(Until::Finished, 50_000_000, &mut NullRecorder)?);
 //! let report = sys.report();
-//! let lpmrs = report.lpmrs().unwrap();
+//! let lpmrs = report.lpmrs()?;
 //! assert!(lpmrs.l1.value() > 0.0);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -84,8 +88,9 @@ pub mod prelude {
         AmatParams, CamatParams, Grain, LayerCounters, Lpmr, LpmrSet, StallModel, Thresholds,
     };
     pub use lpm_sim::{
-        Cmp, CoreSlot, FaultConfig, FaultStats, SimError, System, SystemConfig, SystemReport,
+        Cmp, CoreSlot, FaultConfig, FaultStats, SimError, System, SystemConfig, SystemReport, Until,
     };
+    pub use lpm_telemetry::NullRecorder;
     pub use lpm_trace::{Generator, Instr, Op, SpecWorkload, Trace};
 }
 

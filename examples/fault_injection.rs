@@ -39,7 +39,9 @@ fn main() {
         "{:>9} {:>7} {:>7} {:>6} {:>6}  {:<20} {:>4} {:>5}",
         "cycle", "LPMR1", "T1", "IPC", "budget", "action", "IW", "MSHR"
     );
-    let log = ctl.try_run(&mut sys, 16).expect("run survives faults");
+    let log = ctl
+        .try_run_recorded_budgeted(&mut sys, 16, &mut NullRecorder, None)
+        .expect("run survives faults");
     for r in &log {
         println!(
             "{:>9} {:>7.2} {:>7.2} {:>6.2} {:>6}  {:<20} {:>4} {:>5}",

@@ -47,7 +47,9 @@ fn main() {
         "{:>9} {:>7} {:>7} {:>6}  {:<20} {:>4} {:>5}",
         "cycle", "LPMR1", "T1", "IPC", "action", "IW", "MSHR"
     );
-    let log = ctl.run(&mut sys, 30);
+    let log = ctl
+        .try_run_recorded_budgeted(&mut sys, 30, &mut NullRecorder, None)
+        .expect("run completes");
     let mut grew = 0;
     let mut shed = 0;
     for r in &log {

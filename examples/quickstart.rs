@@ -20,8 +20,12 @@ fn main() {
     // 2. Build a single-core system (4-wide OoO core, 32 KiB L1, 2 MiB
     //    shared-style L2, DDR3-flavoured DRAM) and run it, excluding the
     //    first half as cache warmup.
-    let mut sys = System::new(SystemConfig::default(), trace, 42);
-    let drained = sys.run_with_warmup(instructions as u64 / 2, 200_000_000);
+    let mut sys = System::new_looping(SystemConfig::default(), trace, 1, 42);
+    sys.cmp_mut().warm_up(instructions as u64 / 2);
+    let drained = sys
+        .cmp_mut()
+        .run(Until::Finished, 200_000_000, &mut NullRecorder)
+        .expect("simulator error");
     assert!(drained, "trace did not finish");
 
     // 3. Read the measurements.

@@ -28,13 +28,19 @@ fn small_system(seed: u64) -> System {
     System::try_new_looping(SystemConfig::default(), trace, 50, seed).expect("valid config")
 }
 
+/// Run `cycles` more cycles; the cap never binds.
+fn run_for(sys: &mut System, cycles: u64) -> Result<bool, SimError> {
+    let end = sys.now() + cycles;
+    sys.cmp_mut()
+        .run(Until::Cycle(end), u64::MAX, &mut NullRecorder)
+}
+
 #[test]
 fn every_fault_class_runs_without_panicking() {
     for (name, make) in FAULT_CLASSES {
         let mut sys = small_system(1);
         sys.enable_faults(make(42));
-        sys.try_run_for(120_000)
-            .unwrap_or_else(|e| panic!("{name}: faulted run failed: {e}"));
+        run_for(&mut sys, 120_000).unwrap_or_else(|e| panic!("{name}: faulted run failed: {e}"));
         let report = sys.report();
         assert!(report.core.cycles > 0, "{name}: no progress under faults");
         // The analyzer read-out may be perturbed, but must degrade to a
@@ -62,7 +68,7 @@ fn hardened_controller_survives_every_fault_class() {
         let mut ctl = OnlineLpmController::new_hardened(HwConfig::A, 10_000, Grain::Custom(0.5))
             .expect("valid interval");
         let log = ctl
-            .try_run(&mut sys, 10)
+            .try_run_recorded_budgeted(&mut sys, 10, &mut NullRecorder, None)
             .unwrap_or_else(|e| panic!("{name}: hardened controller failed: {e}"));
         assert!(!log.is_empty(), "{name}: controller recorded no intervals");
         // Convergence: on a memory-hungry workload the controller either
@@ -80,17 +86,20 @@ fn disabling_injection_is_bit_for_bit_identical_to_clean() {
     let run = |prep: &dyn Fn(&mut System)| {
         let mut sys = small_system(9);
         prep(&mut sys);
-        sys.try_run_for(80_000).expect("run");
+        run_for(&mut sys, 80_000).expect("run");
         format!("{:?}", sys.report())
     };
     let clean = run(&|_| {});
     let none = run(&|s| s.enable_faults(FaultConfig::none(7)));
     let disabled = run(&|s| {
         s.enable_faults(FaultConfig::all(7));
-        s.disable_faults();
+        s.cmp_mut().set_fault_injector(None);
     });
     assert_eq!(clean, none, "FaultConfig::none perturbed the simulation");
-    assert_eq!(clean, disabled, "disable_faults left residual fault state");
+    assert_eq!(
+        clean, disabled,
+        "detaching the injector left residual fault state"
+    );
 }
 
 #[test]
@@ -98,7 +107,7 @@ fn same_seed_replays_the_same_fault_schedule() {
     let run = |seed: u64| {
         let mut sys = small_system(3);
         sys.enable_faults(FaultConfig::all(seed));
-        sys.try_run_for(120_000).expect("run");
+        run_for(&mut sys, 120_000).expect("run");
         (
             format!("{:?}", sys.report()),
             format!("{:?}", sys.fault_stats().unwrap()),
@@ -148,7 +157,7 @@ proptest! {
         let mut sys = System::try_new_looping(SystemConfig::default(), trace, 10, 2)
             .expect("valid config");
         sys.enable_faults(FaultConfig::all(seed));
-        prop_assert!(sys.try_run_for(50_000).is_ok());
+        prop_assert!(run_for(&mut sys, 50_000).is_ok());
         prop_assert!(sys.fault_stats().is_some());
     }
 }
@@ -166,7 +175,7 @@ proptest! {
         sys.enable_faults(FaultConfig::all(seed));
         let mut ctl = OnlineLpmController::new_hardened(HwConfig::A, 5_000, Grain::Custom(0.5))
             .expect("valid interval");
-        let log = ctl.try_run(&mut sys, 5);
+        let log = ctl.try_run_recorded_budgeted(&mut sys, 5, &mut NullRecorder, None);
         prop_assert!(log.is_ok());
         let h = ctl.health();
         prop_assert!(h.degenerate_windows + h.sensor_faults <= 5 + 1);

@@ -4,13 +4,17 @@
 
 use lpm::prelude::*;
 
+/// Run every core to completion, then drain, within the absolute `cap`.
+fn finish(cmp: &mut Cmp, cap: u64) -> bool {
+    cmp.run(Until::Finished, cap, &mut NullRecorder)
+        .expect("simulator error")
+}
+
 fn run_workload(w: SpecWorkload, n: usize, seed: u64) -> SystemReport {
     let trace = w.generator().generate(n, seed);
-    let mut sys = System::new(SystemConfig::default(), trace, seed);
-    assert!(
-        sys.run_with_warmup(n as u64 / 2, 500_000_000),
-        "{w} did not drain"
-    );
+    let mut sys = System::new_looping(SystemConfig::default(), trace, 1, seed);
+    sys.cmp_mut().warm_up(n as u64 / 2);
+    assert!(finish(sys.cmp_mut(), 500_000_000), "{w} did not drain");
     sys.report()
 }
 
@@ -112,8 +116,8 @@ fn multicore_contention_slows_everyone_somewhat() {
     };
     let alone_ipc = {
         let t = SpecWorkload::MilcLike.generator().generate(n, 3);
-        let mut sys = System::new(SystemConfig::default(), t, 3);
-        assert!(sys.run(500_000_000));
+        let mut sys = System::new_looping(SystemConfig::default(), t, 1, 3);
+        assert!(finish(sys.cmp_mut(), 500_000_000));
         sys.report().core.ipc()
     };
     let cfg = SystemConfig::default();
@@ -121,8 +125,8 @@ fn multicore_contention_slows_everyone_somewhat() {
         SpecWorkload::MilcLike.generator().generate(n, 3),
         SpecWorkload::LbmLike.generator().generate(n, 4),
     ];
-    let mut cmp = Cmp::new(vec![mk_slot(), mk_slot()], cfg.l2, cfg.dram, traces, 3);
-    assert!(cmp.run(500_000_000));
+    let mut cmp = Cmp::new_looping(vec![mk_slot(), mk_slot()], cfg.l2, cfg.dram, traces, 1, 3);
+    assert!(finish(&mut cmp, 500_000_000));
     let shared_ipc = cmp.core_stats(0).ipc();
     assert!(
         shared_ipc <= alone_ipc * 1.05,

@@ -1,8 +1,9 @@
 //! End-to-end telemetry guarantees, asserted over the real simulator:
 //!
-//! 1. The no-op `NullRecorder` path is bit-for-bit identical to the
-//!    plain `try_run` entry point (the zero-cost-when-disabled
-//!    contract).
+//! 1. The no-op `NullRecorder` run is bit-for-bit identical to one that
+//!    compiles the cycle-attribution instrumentation in
+//!    (`Profiled<NullRecorder>`), so observing attribution costs the
+//!    run nothing but time (the zero-cost-when-disabled contract).
 //! 2. Recording through a `RingRecorder` *observes* the run without
 //!    perturbing it: every `IntervalRecord` matches the unrecorded run
 //!    exactly, including faulted runs (the fault schedule must not
@@ -15,11 +16,23 @@ use lpm_core::design_space::HwConfig;
 use lpm_core::online::{IntervalRecord, OnlineLpmController};
 use lpm_model::Grain;
 use lpm_sim::{FaultConfig, System, SystemConfig};
-use lpm_telemetry::{Event, NullRecorder, RingRecorder, RunSummary, TelemetryLog};
+use lpm_telemetry::{
+    Event, NullRecorder, Profiled, Recorder, RingRecorder, RunSummary, TelemetryLog,
+};
 use lpm_trace::{Generator, SpecWorkload};
 
 const INTERVAL: u64 = 10_000;
 const INTERVALS: usize = 6;
+
+/// The controller's whole run, unbudgeted, into `rec`.
+fn run<R: Recorder>(
+    sys: &mut System,
+    ctl: &mut OnlineLpmController,
+    rec: &mut R,
+) -> Vec<IntervalRecord> {
+    ctl.try_run_recorded_budgeted(sys, INTERVALS, rec, None)
+        .expect("controller run")
+}
 
 fn fresh_run(fault_seed: Option<u64>) -> (System, OnlineLpmController) {
     let trace = SpecWorkload::BwavesLike.generator().generate(300_000, 11);
@@ -72,25 +85,24 @@ fn assert_logs_identical(a: &[IntervalRecord], b: &[IntervalRecord]) {
 #[test]
 fn null_recorder_matches_plain_run_bit_for_bit() {
     let (mut sys_a, mut ctl_a) = fresh_run(None);
-    let log_a = ctl_a.try_run(&mut sys_a, INTERVALS).unwrap();
+    let log_a = run(&mut sys_a, &mut ctl_a, &mut NullRecorder);
     let (mut sys_b, mut ctl_b) = fresh_run(None);
-    let log_b = ctl_b
-        .try_run_recorded(&mut sys_b, INTERVALS, &mut NullRecorder)
-        .unwrap();
+    let mut profiled = Profiled::new(NullRecorder);
+    let log_b = run(&mut sys_b, &mut ctl_b, &mut profiled);
     assert_logs_identical(&log_a, &log_b);
     assert_eq!(sys_a.now(), sys_b.now());
     assert_eq!(ctl_a.hw, ctl_b.hw);
+    // The instrumented side really observed the run.
+    assert!(profiled.attribution().cycles > 0, "attribution saw nothing");
 }
 
 #[test]
 fn ring_recorder_observes_without_perturbing() {
     let (mut sys_a, mut ctl_a) = fresh_run(None);
-    let log_a = ctl_a.try_run(&mut sys_a, INTERVALS).unwrap();
+    let log_a = run(&mut sys_a, &mut ctl_a, &mut NullRecorder);
     let (mut sys_b, mut ctl_b) = fresh_run(None);
     let mut rec = RingRecorder::default();
-    let log_b = ctl_b
-        .try_run_recorded(&mut sys_b, INTERVALS, &mut rec)
-        .unwrap();
+    let log_b = run(&mut sys_b, &mut ctl_b, &mut rec);
     assert_logs_identical(&log_a, &log_b);
     assert_eq!(sys_a.now(), sys_b.now());
     // One snapshot per recorded interval, one decision event each.
@@ -102,13 +114,11 @@ fn ring_recorder_observes_without_perturbing() {
 #[test]
 fn ring_recorder_does_not_shift_the_fault_schedule() {
     let (mut sys_a, mut ctl_a) = fresh_run(Some(42));
-    let log_a = ctl_a.try_run(&mut sys_a, INTERVALS).unwrap();
+    let log_a = run(&mut sys_a, &mut ctl_a, &mut NullRecorder);
     let stats_a = sys_a.fault_stats().unwrap();
     let (mut sys_b, mut ctl_b) = fresh_run(Some(42));
     let mut rec = RingRecorder::default();
-    let log_b = ctl_b
-        .try_run_recorded(&mut sys_b, INTERVALS, &mut rec)
-        .unwrap();
+    let log_b = run(&mut sys_b, &mut ctl_b, &mut rec);
     let stats_b = sys_b.fault_stats().unwrap();
     assert_logs_identical(&log_a, &log_b);
     assert_eq!(stats_a, stats_b, "onset logging perturbed the schedule");
@@ -118,7 +128,7 @@ fn ring_recorder_does_not_shift_the_fault_schedule() {
 fn fault_events_carry_seed_and_cycle_and_match_injector_totals() {
     let (mut sys, mut ctl) = fresh_run(Some(7));
     let mut rec = RingRecorder::default();
-    ctl.try_run_recorded(&mut sys, INTERVALS, &mut rec).unwrap();
+    run(&mut sys, &mut ctl, &mut rec);
     let stats = sys.fault_stats().unwrap();
     let total_started =
         stats.spike_events + stats.storm_events + stats.stall_events + stats.squeeze_events;
@@ -155,7 +165,7 @@ fn fault_events_carry_seed_and_cycle_and_match_injector_totals() {
 fn recorded_run_exports_and_round_trips() {
     let (mut sys, mut ctl) = fresh_run(Some(42));
     let mut rec = RingRecorder::default();
-    ctl.try_run_recorded(&mut sys, INTERVALS, &mut rec).unwrap();
+    run(&mut sys, &mut ctl, &mut rec);
     let summary = RunSummary {
         total_cycles: sys.now(),
         health: Some(ctl.health().to_telemetry()),
